@@ -684,14 +684,47 @@ func (ss *session) contradictions() int {
 // is equal in AC as well cannot dominate either way; the later tuple is
 // folded into the earlier one as a twin and re-added to the skyline at
 // readout. Each compared pair is one round, as in the serial algorithm.
+//
+// Candidates come from a sort on known attribute 0: an Eps-equal partner
+// of i lies in the window of ±2·Eps (widened against rounding) around
+// i's value, and EqualKnown still decides every pair — Eps-equality is
+// not transitive, so grouping equal rows would not be equivalent. The
+// window's members are visited in ascending j, the order of the full
+// pair sweep, so questions and rounds are unchanged.
 func (ss *session) preprocessDegenerate() {
 	d := ss.d
 	n := d.N()
+	hasKnown := d.KnownDims() > 0
+	key := func(i int) float64 {
+		if !hasKnown {
+			return 0 // no known attribute: every pair is AK-identical
+		}
+		return d.Known(i, 0)
+	}
+	// NaN equals nothing under EqEps and has no place in a sort order;
+	// such tuples are left out, and their own window search finds nothing.
+	byKey := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if !math.IsNaN(key(i)) {
+			byKey = append(byKey, i)
+		}
+	}
+	sort.Slice(byKey, func(a, b int) bool { return key(byKey[a]) < key(byKey[b]) })
+	var cand []int
 	for i := 0; i < n; i++ {
 		if !ss.alive[i] {
 			continue
 		}
-		for j := i + 1; j < n; j++ {
+		v := key(i)
+		lo := sort.Search(len(byKey), func(k int) bool { return key(byKey[k]) >= v-2*skyline.Eps })
+		cand = cand[:0]
+		for k := lo; k < len(byKey) && key(byKey[k]) <= v+2*skyline.Eps; k++ {
+			if j := byKey[k]; j > i {
+				cand = append(cand, j)
+			}
+		}
+		sort.Ints(cand)
+		for _, j := range cand {
 			if !ss.alive[j] || !skyline.EqualKnown(d, i, j) {
 				continue
 			}

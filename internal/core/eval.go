@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 
+	"crowdsky/internal/bitset"
 	"crowdsky/internal/telemetry"
 )
 
@@ -21,8 +23,8 @@ import (
 // pairs for the parallel ones) and calls next again.
 type tupleEval struct {
 	t    int
-	ds   []int  // current dominating set, shrinking as probing resolves dominance
-	inDS []bool // membership mask for ds, indexed by tuple
+	ds   []int      // current dominating set, shrinking as probing resolves dominance
+	inDS bitset.Set // membership mask for ds, indexed by tuple
 
 	probe   []pair // P3 probing questions, most important first
 	probeAt int
@@ -60,7 +62,7 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 		_, s := telemetry.StartSpan(qctx, ss.trace, name)
 		return s
 	}
-	te := &tupleEval{t: t, inDS: make([]bool, ss.d.N())}
+	te := &tupleEval{t: t, inDS: bitset.New(ss.d.N())}
 	var p1span *telemetry.Span
 	if opts.P1 {
 		p1span = phase("p1")
@@ -70,7 +72,7 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 			continue
 		}
 		te.ds = append(te.ds, s)
-		te.inDS[s] = true
+		te.inDS.Add(s)
 	}
 	if ss.trace != nil && opts.P1 && len(te.ds) < len(ds) {
 		ss.trace.Emit(telemetry.P1Prune(t, len(ds), len(te.ds)))
@@ -92,19 +94,26 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 				te.probe = append(te.probe, makePair(te.ds[i], te.ds[j]))
 			}
 		}
-		// Order by freq(u,v) per Options.ProbeOrder; ties keep pair order
-		// for determinism.
-		switch opts.ProbeOrder {
-		case FreqAscending:
-			sort.SliceStable(te.probe, func(x, y int) bool {
-				return ss.freq(te.probe[x].a(), te.probe[x].b()) < ss.freq(te.probe[y].a(), te.probe[y].b())
-			})
-		case PairOrder:
-			// generation order
-		default: // FreqDescending
-			sort.SliceStable(te.probe, func(x, y int) bool {
-				return ss.freq(te.probe[x].a(), te.probe[x].b()) > ss.freq(te.probe[y].a(), te.probe[y].b())
-			})
+		// Order by freq(u,v) per Options.ProbeOrder (PairOrder keeps the
+		// generation order); ties keep pair order for determinism. Each
+		// freq is a bitmap popcount, so it is computed once per pair, and
+		// the sort runs on packed (key, generation index) words: freq ≤ n
+		// fits in 32 bits, and so does the index of any probe list that
+		// fits in memory (2³² pairs alone would take 32 GiB).
+		if opts.ProbeOrder != PairOrder {
+			keys := make([]uint64, len(te.probe))
+			for i, pr := range te.probe {
+				f := uint64(ss.freq(pr.a(), pr.b()))
+				if opts.ProbeOrder != FreqAscending {
+					f = math.MaxUint32 - f
+				}
+				keys[i] = f<<32 | uint64(i)
+			}
+			slices.Sort(keys)
+			gen := slices.Clone(te.probe)
+			for i, k := range keys {
+				te.probe[i] = gen[uint32(k)]
+			}
 		}
 		p3span.End()
 	}
@@ -126,7 +135,7 @@ func (te *tupleEval) reduceToACSkyline(ss *session) {
 			}
 		}
 		if dominated {
-			te.inDS[u] = false
+			te.inDS.Remove(u)
 		} else {
 			keep = append(keep, u)
 		}
@@ -136,10 +145,10 @@ func (te *tupleEval) reduceToACSkyline(ss *session) {
 
 // remove drops tuple u from the dominating set.
 func (te *tupleEval) remove(u int) {
-	if !te.inDS[u] {
+	if !te.inDS.Has(u) {
 		return
 	}
-	te.inDS[u] = false
+	te.inDS.Remove(u)
 	keep := te.ds[:0]
 	for _, s := range te.ds {
 		if s != u {
@@ -154,7 +163,7 @@ func (te *tupleEval) remove(u int) {
 func (te *tupleEval) remainingAfter() int {
 	count := 0
 	for i := te.askAt + 1; i < len(te.ds); i++ {
-		if te.inDS[te.ds[i]] {
+		if te.inDS.Has(te.ds[i]) {
 			count++
 		}
 	}
@@ -172,7 +181,7 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 	for te.probeAt < len(te.probe) {
 		pr := te.probe[te.probeAt]
 		// Skip pairs whose members were already pruned away.
-		if !te.inDS[pr.a()] || !te.inDS[pr.b()] {
+		if !te.inDS.Has(pr.a()) || !te.inDS.Has(pr.b()) {
 			te.probeAt++
 			continue
 		}
@@ -204,7 +213,7 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 	// dominator with s ⪯AC t completes t as a non-skyline tuple.
 	for te.askAt < len(te.ds) {
 		s := te.ds[te.askAt]
-		if !te.inDS[s] {
+		if !te.inDS.Has(s) {
 			te.askAt++
 			continue
 		}

@@ -26,6 +26,7 @@ func checkDynamicAgainstRebuild(t *testing.T, d *dataset.Dataset, ix *Index, ali
 	if got, exp := ix.DominatingSets(), want.DominatingSets(); !reflect.DeepEqual(got, exp) {
 		t.Fatalf("DominatingSets diverged from rebuild\n got %v\nwant %v", got, exp)
 	}
+	checkForEachDominated(t, ix, n)
 	if got, exp := ix.KnownSkyline(), want.KnownSkyline(); !sameMembers(got, exp) {
 		t.Fatalf("KnownSkyline diverged from rebuild: got %v, want %v", got, exp)
 	}

@@ -633,6 +633,25 @@ func (ix *Index) Dominates(s, t int) bool {
 	return ps>>6 < len(ix.domBy[pt]) && ix.domBy[pt].Has(ps)
 }
 
+// ForEachDominated calls fn(t) for every tuple t with s ≺AK t, in index
+// position order (not ascending t). It walks the transposed bitmap row
+// the index already holds, so it allocates nothing; a dead or unindexed s
+// dominates nothing. Together over all s it visits exactly the inverse of
+// DominatingSets. fn must not mutate the index. It carries no hotpath
+// annotation because the call graph resolves fn to every func(int) in the
+// program; TestZeroAlloc gates it instead.
+func (ix *Index) ForEachDominated(s int, fn func(t int)) {
+	ps := ix.pos[s]
+	if ps < 0 {
+		return
+	}
+	for wi, w := range ix.dom[ps] {
+		for ; w != 0; w &= w - 1 {
+			fn(ix.order[wi<<6+bits.TrailingZeros64(w)])
+		}
+	}
+}
+
 // DominatingSets returns DS(t) = {s : s ≺AK t} for every tuple, indexed
 // by original tuple index with dominators in ascending index order —
 // bit-for-bit the result of the naive DominatingSets (dead tuples and

@@ -3,6 +3,7 @@ package skyline
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"crowdsky/internal/dataset"
@@ -353,4 +354,45 @@ func FuzzIndex(f *testing.F) {
 		}
 		checkIndexAgainstNaive(t, d)
 	})
+}
+
+// checkForEachDominated asserts that ForEachDominated(s) visits exactly
+// {t : s ∈ DS(t)}, each t once, for every tuple s of the index — the
+// inverse of DominatingSets, whatever the index's alive state.
+func checkForEachDominated(t *testing.T, ix *Index, n int) {
+	t.Helper()
+	want := make([][]int, n)
+	for tt, ds := range ix.DominatingSets() {
+		for _, s := range ds {
+			want[s] = append(want[s], tt)
+		}
+	}
+	for s := 0; s < n; s++ {
+		var got []int
+		ix.ForEachDominated(s, func(tt int) { got = append(got, tt) })
+		sort.Ints(got)
+		if !reflect.DeepEqual(got, want[s]) {
+			t.Fatalf("ForEachDominated(%d) visited %v, DominatingSets' inverse is %v", s, got, want[s])
+		}
+	}
+}
+
+// TestForEachDominated checks the dominated-tuple walk against the
+// dominating sets on static and alive-masked indexes; mutated indexes are
+// covered through checkDynamicAgainstRebuild.
+func TestForEachDominated(t *testing.T) {
+	for name, d := range indexDatasets(t) {
+		d := d
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			n := d.N()
+			checkForEachDominated(t, NewIndex(d), n)
+			rng := rand.New(rand.NewSource(int64(n)))
+			alive := make([]bool, n)
+			for i := range alive {
+				alive[i] = rng.Intn(3) != 0
+			}
+			checkForEachDominated(t, NewIndexAlive(d, alive), n)
+		})
+	}
 }

@@ -10,8 +10,9 @@ import (
 // TestZeroAlloc is the CI gate for the dominance query kernels: once an
 // index (or frequency counter) is built, point queries must not allocate.
 // Dominates is two array loads and a bit test; Freq is one AND-popcount
-// pass over pre-built rows. A regression here means a query started
-// materializing state that belongs in the build phase.
+// pass over pre-built rows; ForEachDominated walks one pre-built row. A
+// regression here means a query started materializing state that belongs
+// in the build phase.
 func TestZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := dataset.MustGenerate(dataset.GenerateConfig{
@@ -19,12 +20,14 @@ func TestZeroAlloc(t *testing.T) {
 	}, rng)
 	ix := NewIndex(d)
 	fc := NewFreqCounter(d, DominatingSets(d))
+	visited := 0
 	query := func() {
 		for s := 0; s < 16; s++ {
 			for u := 0; u < 16; u++ {
 				_ = ix.Dominates(s, u)
 				_ = fc.Freq(s, u)
 			}
+			ix.ForEachDominated(s, func(int) { visited++ })
 		}
 	}
 	if avg := testing.AllocsPerRun(100, query); avg != 0 {
