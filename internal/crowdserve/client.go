@@ -10,6 +10,7 @@ import (
 	"io"
 	mrand "math/rand"
 	"net/http"
+	"strconv"
 	"time"
 
 	"crowdsky/internal/crowd"
@@ -48,7 +49,10 @@ type Client struct {
 	HTTPClient *http.Client
 	// PollInterval is the initial delay between round-status checks;
 	// defaults to 250ms. Consecutive not-done polls back off
-	// exponentially (with jitter) up to MaxPollInterval.
+	// exponentially (with jitter) up to MaxPollInterval. Each check asks
+	// the server to hold it for the interval (?wait=), so a round is
+	// noticed the moment it completes; against a server that answers at
+	// once the client sleeps out the rest of the interval instead.
 	PollInterval time.Duration
 	// MaxPollInterval caps the poll backoff; defaults to 16× PollInterval.
 	MaxPollInterval time.Duration
@@ -192,8 +196,15 @@ func (c *Client) AskCtx(ctx context.Context, reqs []crowd.Request) []crowd.Answe
 	interval := c.pollInterval()
 	defer wait.End()
 	for {
-		done, answers, err := c.getRound(wctx, roundID)
+		// The interval doubles per not-done poll up to MaxPollInterval,
+		// so a slow crowd is not hammered with status checks.
+		d := jitter(interval)
+		start := time.Now()
+		done, answers, err := c.getRound(wctx, roundID, d)
 		if err != nil {
+			if ctx.Err() != nil {
+				panic(fmt.Sprintf("crowdserve: cancelled while waiting for round %d: %v", roundID, err))
+			}
 			panic(fmt.Sprintf("crowdserve: polling round %d: %v", roundID, err))
 		}
 		if done {
@@ -213,12 +224,10 @@ func (c *Client) AskCtx(ctx context.Context, reqs []crowd.Request) []crowd.Answe
 			}
 			return out
 		}
-		// Sleep one jittered backoff interval, but wake immediately on
-		// cancellation: a cancelled run must not outlive its context by a
-		// poll cycle. The interval doubles per not-done poll up to
-		// MaxPollInterval, so a slow crowd is not hammered with status
-		// checks while a fast one is noticed promptly.
-		if err := sleepCtx(ctx, jitter(interval)); err != nil {
+		// Sleep out what the server did not hold of the interval, but
+		// wake immediately on cancellation: a cancelled run must not
+		// outlive its context by a poll cycle.
+		if err := sleepCtx(ctx, d-time.Since(start)); err != nil {
 			panic(fmt.Sprintf("crowdserve: cancelled while waiting for round %d: %v", roundID, err))
 		}
 		polls++
@@ -267,12 +276,14 @@ func (c *Client) postRound(ctx context.Context, qs []QuestionJSON) (int64, error
 	return out.RoundID, nil
 }
 
-func (c *Client) getRound(ctx context.Context, id int64) (bool, []AnswerJSON, error) {
+// getRound asks for round id's status, holding the request on the
+// server for up to wait.
+func (c *Client) getRound(ctx context.Context, id int64, wait time.Duration) (bool, []AnswerJSON, error) {
 	var out struct {
 		Done    bool         `json:"done"`
 		Answers []AnswerJSON `json:"answers"`
 	}
-	url := fmt.Sprintf("%s/api/rounds/%d", c.BaseURL, id)
+	url := fmt.Sprintf("%s/api/rounds/%d?wait=%s", c.BaseURL, id, waitParam(wait, c.requestTimeout()))
 	if err := c.doJSON(ctx, http.MethodGet, url, nil, "", http.StatusOK, &out); err != nil {
 		return false, nil, err
 	}
@@ -376,9 +387,23 @@ func jitter(d time.Duration) time.Duration {
 	return half + time.Duration(mrand.Int63n(int64(half)+1))
 }
 
+// waitParam renders a long-poll hold of d as the ?wait= value: whole
+// milliseconds rounded up, so any positive interval asks for a hold, and
+// at most half of timeout, so a held request never runs into the
+// client's own timeout and gets retried as a transport failure.
+func waitParam(d, timeout time.Duration) string {
+	d = min(d, timeout/2)
+	ms := max(0, (d+time.Millisecond-1)/time.Millisecond)
+	return strconv.FormatInt(int64(ms), 10)
+}
+
 // sleepCtx sleeps for d or until ctx is cancelled, whichever comes
-// first, returning the context error on cancellation.
+// first, returning the context error on cancellation. For d <= 0 it
+// returns at once.
 func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

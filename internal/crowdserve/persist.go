@@ -20,6 +20,11 @@ import (
 // not persisted — on restart every in-flight assignment returns to the
 // open queue, which at worst re-asks a question that was answered but not
 // submitted.
+//
+// Only retained rounds are persisted (see roundRetention): Restore puts
+// completed rounds back into the retention ring in id order and drops
+// idempotency keys whose round is gone. The stats totals are persisted
+// separately; a snapshot without them derives them from its rounds.
 
 // snapshot is the wire form of the server state.
 type snapshot struct {
@@ -31,6 +36,11 @@ type snapshot struct {
 	Idempotency map[string]int64 `json:"idempotency,omitempty"`
 	Rounds      []roundSnapshot  `json:"rounds"`
 	Open        []assignSnap     `json:"open"`
+
+	// TotalRounds and TotalQuestions count every round ever posted;
+	// snapshots written before retention existed omit them.
+	TotalRounds    int `json:"total_rounds,omitempty"`
+	TotalQuestions int `json:"total_questions,omitempty"`
 }
 
 type roundSnapshot struct {
@@ -58,6 +68,9 @@ func (s *Server) Snapshot(w io.Writer) error {
 		NextAssign:  s.nextAssign,
 		Judgments:   s.judgments,
 		Requeues:    s.requeues,
+
+		TotalRounds:    s.totalRounds,
+		TotalQuestions: s.totalQuestions,
 	}
 	if len(s.perWorker) > 0 {
 		snap.PerWorker = make(map[string]int, len(s.perWorker))
@@ -129,6 +142,8 @@ func (s *Server) Restore(r io.Reader) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Held work polls re-scan the restored queue.
+	s.signalWorkLocked()
 	s.nextRoundID = snap.NextRoundID
 	s.nextAssign = snap.NextAssign
 	s.judgments = snap.Judgments
@@ -137,14 +152,18 @@ func (s *Server) Restore(r io.Reader) error {
 	for id, n := range snap.PerWorker {
 		s.perWorker[id] = n
 	}
+	s.totalRounds, s.totalQuestions = snap.TotalRounds, snap.TotalQuestions
+	derive := s.totalRounds == 0
 	s.idem = make(map[string]int64, len(snap.Idempotency))
-	for k, id := range snap.Idempotency {
-		s.idem[k] = id
-	}
 	s.rounds = make(map[int64]*round, len(snap.Rounds))
+	s.retained = [roundRetention]*round{}
+	s.retainNext = 0
 	s.queue = nil
 	s.leased = make(map[int64]*assignment)
 	for _, rs := range snap.Rounds {
+		if _, dup := s.rounds[rs.ID]; dup {
+			return fmt.Errorf("crowdserve: snapshot has round %d twice", rs.ID)
+		}
 		rd := &round{
 			id:        rs.ID,
 			questions: rs.Questions,
@@ -152,6 +171,11 @@ func (s *Server) Restore(r io.Reader) error {
 			needed:    rs.Needed,
 			remaining: rs.Remaining,
 			votes:     make([][]crowd.Preference, len(rs.Questions)),
+			done:      make(chan struct{}),
+		}
+		if derive {
+			s.totalRounds++
+			s.totalQuestions += len(rs.Questions)
 		}
 		if rd.voters == nil {
 			rd.voters = make([]map[string]bool, len(rs.Questions))
@@ -174,6 +198,18 @@ func (s *Server) Restore(r io.Reader) error {
 			}
 		}
 		s.rounds[rs.ID] = rd
+	}
+	for k, id := range snap.Idempotency {
+		if rd, ok := s.rounds[id]; ok && rd.idemKey == "" {
+			rd.idemKey = k
+			s.idem[k] = id
+		}
+	}
+	for _, rs := range snap.Rounds {
+		if rd := s.rounds[rs.ID]; rd.remaining <= 0 {
+			close(rd.done)
+			s.retainLocked(rd)
+		}
 	}
 	// Restored rounds have no live span context or trace ID (the
 	// requester's trace did not survive the restart); spans and exemplars

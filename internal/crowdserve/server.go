@@ -12,22 +12,34 @@
 //
 // Wire protocol (JSON over HTTP):
 //
-//	POST /api/rounds            {questions: [{a,b,attr,workers}]} → {round_id}
-//	GET  /api/rounds/{id}       → {done, answers: [{a,b,attr,pref}]}
-//	GET  /api/work?worker=W     → {assignment_id, a, b, attr} or 204
-//	POST /api/answers           {assignment_id, worker, pref}
-//	GET  /api/stats             → {rounds, questions, judgments, open,
-//	                               lease_requeues, judgments_by_worker}
-//	GET  /metrics               → Prometheus text exposition
+//	POST /api/rounds                 {questions: [{a,b,attr,workers}]} → {round_id}
+//	GET  /api/rounds/{id}?wait=MS    → {done, answers: [{a,b,attr,pref}]}
+//	GET  /api/work?worker=W&wait=MS  → {assignment_id, a, b, attr} or 204
+//	POST /api/answers                {assignment_id, worker, pref}
+//	GET  /api/stats                  → {rounds, questions, judgments, open,
+//	                                    lease_requeues, judgments_by_worker}
+//	GET  /metrics                    → Prometheus text exposition
 //
 // pref is "first", "second" or "equal". Assignments are leased: a fetched
 // assignment that is not answered within the lease duration is silently
 // requeued for another worker, so stalled workers cannot wedge a round.
+//
+// Both polling GETs are long polls: with wait=MS (whole milliseconds,
+// clamped to maxWait, absent means 0) the server holds a not-done round
+// until it completes, and an empty work poll until an assignment can be
+// leased, answering as before once wait elapses. A server that ignores
+// wait is still a valid peer: the client sleeps out what is left of the
+// interval it asked the server to hold.
+//
+// The server keeps the last roundRetention completed rounds; older ones
+// are evicted together with their Idempotency-Key, and polling an evicted
+// round answers 410 Gone. Open rounds are never evicted.
 package crowdserve
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -43,6 +55,16 @@ import (
 // DefaultLease is how long a worker may hold an assignment before it is
 // requeued.
 const DefaultLease = 2 * time.Minute
+
+// maxWait caps a long poll's ?wait=, so one request cannot park a
+// handler for longer than a polling client would sensibly wait.
+const maxWait = 10 * time.Second
+
+// roundRetention is how many completed rounds the server keeps for
+// late polls and idempotent replays. A requester collects its round on
+// the poll that sees it complete, so the bound only has to cover rounds
+// finished but not yet collected.
+const roundRetention = 1024
 
 // QuestionJSON is the wire form of one pair-wise question.
 type QuestionJSON struct {
@@ -162,6 +184,12 @@ type round struct {
 	span     *telemetry.Span
 	spanCtx  context.Context
 	resolved bool
+
+	// done is closed when remaining reaches 0, waking held round polls.
+	done chan struct{}
+	// idemKey is the Idempotency-Key that created the round, deleted
+	// from the server's replay map when the round is evicted.
+	idemKey string
 }
 
 // Server is the marketplace state plus its HTTP handler.
@@ -178,6 +206,23 @@ type Server struct {
 	judgments int            // skylint:guardedby mu
 	requeues  int            // skylint:guardedby mu — assignments requeued after a lapsed lease
 	perWorker map[string]int // skylint:guardedby mu — judgments submitted per worker id
+
+	// Running totals for /api/stats: retention evicts rounds, not history.
+	totalRounds    int // skylint:guardedby mu
+	totalQuestions int // skylint:guardedby mu
+
+	// retained is the ring of completed rounds, filled in completion
+	// order; once full, retainNext is the oldest, evicted by the next
+	// completion.
+	retained   [roundRetention]*round // skylint:guardedby mu
+	retainNext int                    // skylint:guardedby mu
+
+	// workReady is closed and replaced whenever assignments enter the
+	// queue, waking held work polls.
+	workReady chan struct{} // skylint:guardedby mu
+	// stops holds, per http.Server serving this handler, a channel its
+	// Shutdown closes, so held polls do not stall a graceful drain.
+	stops map[*http.Server]chan struct{} // skylint:guardedby mu
 
 	// idem maps an Idempotency-Key to the round it created, so a client
 	// retrying a POST /api/rounds whose response was lost gets the
@@ -223,6 +268,8 @@ func NewServer() *Server {
 		now:       time.Now,
 		perWorker: make(map[string]int),
 		idem:      make(map[string]int64),
+		workReady: make(chan struct{}),
+		stops:     make(map[*http.Server]chan struct{}),
 		reg:       telemetry.NewRegistry(),
 	}
 	s.httpm = telemetry.NewHTTPMetrics(s.reg, "crowdserve")
@@ -339,6 +386,8 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 		votes:     make([][]crowd.Preference, len(body.Questions)),
 		voters:    make([]map[string]bool, len(body.Questions)),
 		needed:    make([]int, len(body.Questions)),
+		done:      make(chan struct{}),
+		idemKey:   idemKey,
 	}
 	// The round joins the requester's trace: the middleware already
 	// extracted the traceparent header (and opened the http span) into
@@ -379,6 +428,9 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 	if idemKey != "" {
 		s.idem[idemKey] = rd.id
 	}
+	s.totalRounds++
+	s.totalQuestions += len(body.Questions)
+	s.signalWorkLocked()
 	s.mRounds.Inc()
 	s.mQuestions.Add(uint64(len(body.Questions)))
 	s.writeJSON(w, http.StatusCreated, map[string]int64{"round_id": rd.id})
@@ -406,10 +458,22 @@ func (s *Server) handleGetRound(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid round id")
 		return
 	}
+	wait, ok := parseWait(r.URL.Query().Get("wait"))
+	if !ok {
+		s.writeError(w, http.StatusBadRequest, "invalid wait")
+		return
+	}
+	if wait > 0 {
+		s.awaitRound(r, id, wait)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rd, ok := s.rounds[id]
 	if !ok {
+		if id > 0 && id <= s.nextRoundID {
+			s.writeError(w, http.StatusGone, "round evicted")
+			return
+		}
 		s.writeError(w, http.StatusNotFound, "unknown round")
 		return
 	}
@@ -440,6 +504,101 @@ func (s *Server) handleGetRound(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
+// parseWait reads a long poll's ?wait=: absent means answer at once, a
+// non-negative integer is milliseconds clamped to maxWait, anything
+// else is invalid.
+func parseWait(raw string) (time.Duration, bool) {
+	if raw == "" {
+		return 0, true
+	}
+	ms, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, false
+	}
+	if err != nil || ms > uint64(maxWait/time.Millisecond) {
+		return maxWait, true
+	}
+	return time.Duration(ms) * time.Millisecond, true
+}
+
+// awaitRound holds a round poll until the round completes, wait
+// elapses, the requester disconnects or the http.Server shuts down. The
+// caller reads the round under the lock afterwards.
+func (s *Server) awaitRound(r *http.Request, id int64, wait time.Duration) {
+	s.mu.Lock()
+	rd, ok := s.rounds[id]
+	stop := s.stopSignalLocked(r)
+	s.mu.Unlock()
+	if !ok {
+		return
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	park(r.Context(), rd.done, stop, timer.C)
+}
+
+// awaitLease holds a work poll that found nothing to lease, retrying
+// each time new work is queued. It returns nil once wait elapses, the
+// worker disconnects or the http.Server shuts down.
+func (s *Server) awaitLease(r *http.Request, worker string, ready <-chan struct{}, wait time.Duration) *assignment {
+	s.mu.Lock()
+	stop := s.stopSignalLocked(r)
+	s.mu.Unlock()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for park(r.Context(), ready, stop, timer.C) {
+		var a *assignment
+		if a, ready = s.leaseNext(worker); a != nil {
+			return a
+		}
+	}
+	return nil
+}
+
+// park blocks until ready closes (true) or until expire fires, ctx ends
+// or stop closes (false).
+func park(ctx context.Context, ready, stop <-chan struct{}, expire <-chan time.Time) bool {
+	select {
+	case <-ready:
+		return true
+	case <-expire:
+	case <-ctx.Done():
+	case <-stop:
+	}
+	return false
+}
+
+// stopSignalLocked returns a channel that closes when the http.Server
+// serving r shuts down. Shutdown does not cancel running handlers, so
+// without it a held poll would stall the graceful drain by up to
+// maxWait. One hook is registered per http.Server, and the map keeps
+// the closed channel so polls arriving mid-drain return at once. A
+// request served without an http.Server (a handler test) gets a nil
+// channel, which never fires.
+func (s *Server) stopSignalLocked(r *http.Request) <-chan struct{} {
+	hs, ok := r.Context().Value(http.ServerContextKey).(*http.Server)
+	if !ok {
+		return nil
+	}
+	stop, ok := s.stops[hs]
+	if !ok {
+		//skylint:alloc-ok once per http.Server serving this handler
+		stop = make(chan struct{})
+		s.stops[hs] = stop
+		//skylint:alloc-ok once per http.Server serving this handler
+		hs.RegisterOnShutdown(func() { close(stop) })
+	}
+	return stop
+}
+
+// signalWorkLocked wakes every held work poll: new assignments are in
+// the queue.
+func (s *Server) signalWorkLocked() {
+	close(s.workReady)
+	//skylint:alloc-ok one channel per batch of queued work, not per poll
+	s.workReady = make(chan struct{})
+}
+
 // handleGetWork leases the next compatible assignment to the polling
 // worker. Workers poll in a loop, so this is the marketplace's hottest
 // endpoint: steady-state work (lease bookkeeping, queue rotation) must
@@ -448,11 +607,41 @@ func (s *Server) handleGetRound(w http.ResponseWriter, r *http.Request) {
 //
 //skylint:hotpath serve
 func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
-	worker, ok := cleanWorkerID(r.URL.Query().Get("worker"))
+	query := r.URL.Query()
+	worker, ok := cleanWorkerID(query.Get("worker"))
 	if !ok {
 		s.writeError(w, http.StatusBadRequest, "missing or invalid worker id")
 		return
 	}
+	wait, ok := parseWait(query.Get("wait"))
+	if !ok {
+		s.writeError(w, http.StatusBadRequest, "invalid wait")
+		return
+	}
+	a, ready := s.leaseNext(worker)
+	if a == nil && wait > 0 {
+		a = s.awaitLease(r, worker, ready, wait)
+	}
+	if a == nil {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	// id and question never change after creation, so the response is
+	// written without holding the lock.
+	//skylint:alloc-ok one response object per granted lease; the JSON encoder behind it allocates anyway
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"assignment_id": a.id,
+		"a":             a.question.A,
+		"b":             a.question.B,
+		"attr":          a.question.Attr,
+	})
+}
+
+// leaseNext leases the oldest queued assignment the worker may take.
+// When there is none it returns the channel that closes on the next
+// queued work, read under the same lock as the scan so no post in
+// between goes unnoticed.
+func (s *Server) leaseNext(worker string) (*assignment, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reapExpiredLocked()
@@ -482,16 +671,9 @@ func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 		a.waitSpan = nil
 		a.judgeSpan = s.startAssignmentSpan(rd, a, "judgment")
 		a.judgeSpan.SetAttr("worker", worker)
-		//skylint:alloc-ok one response object per granted lease; the JSON encoder behind it allocates anyway
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"assignment_id": a.id,
-			"a":             a.question.A,
-			"b":             a.question.B,
-			"attr":          a.question.Attr,
-		})
-		return
+		return a, nil
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return nil, s.workReady
 }
 
 // workerHasQuestionLocked reports whether the worker currently leases
@@ -540,6 +722,9 @@ func (s *Server) reapExpiredLocked() {
 		s.queue = append(s.queue, a)
 		s.requeues++
 		s.mRequeues.Inc()
+	}
+	if len(expired) > 0 {
+		s.signalWorkLocked()
 	}
 }
 
@@ -595,8 +780,10 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	rd.remaining--
 	if rd.remaining == 0 {
 		// Every judgment is in; the round's crowd part is over (the
-		// requester's next poll resolves the votes).
+		// requester's held or next poll resolves the votes).
 		rd.span.End()
+		close(rd.done)
+		s.retainLocked(rd)
 	}
 	s.judgments++
 	s.perWorker[worker]++
@@ -605,22 +792,32 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
+// retainLocked records a completed round in the retention ring. Once
+// the ring is full this evicts the oldest completed round together with
+// its idempotency key; open rounds are never in the ring.
+func (s *Server) retainLocked(rd *round) {
+	if old := s.retained[s.retainNext]; old != nil {
+		delete(s.rounds, old.id)
+		if old.idemKey != "" {
+			delete(s.idem, old.idemKey)
+		}
+	}
+	s.retained[s.retainNext] = rd
+	s.retainNext = (s.retainNext + 1) % roundRetention
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reapExpiredLocked()
 	open := len(s.queue) + len(s.leased)
-	questions := 0
-	for _, rd := range s.rounds {
-		questions += len(rd.questions)
-	}
 	byWorker := make(map[string]int, len(s.perWorker))
 	for id, n := range s.perWorker {
 		byWorker[id] = n
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"rounds":              len(s.rounds),
-		"questions":           questions,
+		"rounds":              s.totalRounds,
+		"questions":           s.totalQuestions,
 		"judgments":           s.judgments,
 		"open":                open,
 		"lease_requeues":      s.requeues,

@@ -24,7 +24,8 @@ type WorkerConfig struct {
 	// Reliability is each worker's correctness probability.
 	Reliability float64
 	// PollInterval between work fetches when the queue is empty; defaults
-	// to 50ms.
+	// to 50ms. Each fetch asks the server to hold it that long (?wait=),
+	// and the worker sleeps only what the server did not hold.
 	PollInterval time.Duration
 	// Seed drives the fleet's randomness.
 	Seed int64
@@ -56,18 +57,18 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 			worker := crowd.Worker{ID: id, Reliability: cfg.Reliability}
 			name := fmt.Sprintf("sim-%d", id)
 			client := &http.Client{Timeout: 10 * time.Second}
+			workURL := baseURL + "/api/work?worker=" + name + "&wait=" + waitParam(poll, client.Timeout)
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				default:
 				}
-				job, ok := fetchWork(ctx, client, baseURL, name)
+				start := time.Now()
+				job, ok := fetchWork(ctx, client, workURL)
 				if !ok {
-					select {
-					case <-ctx.Done():
+					if sleepCtx(ctx, poll-time.Since(start)) != nil {
 						return
-					case <-time.After(poll):
 					}
 					continue
 				}
@@ -109,9 +110,8 @@ type workItem struct {
 	Attr         int   `json:"attr"`
 }
 
-func fetchWork(ctx context.Context, client *http.Client, baseURL, worker string) (workItem, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		baseURL+"/api/work?worker="+worker, nil)
+func fetchWork(ctx context.Context, client *http.Client, url string) (workItem, bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return workItem{}, false
 	}
