@@ -448,3 +448,59 @@ func TestPersistRequeuesAndPerWorker(t *testing.T) {
 		t.Errorf("restored requeues=%d perWorker=%v", restored.requeues, restored.perWorker)
 	}
 }
+
+// TestPostRoundRejectsHostile sends rounds that would make the server
+// allocate without bound or panic — a question with millions of workers,
+// one whose workers overflow a slice length, a round whose questions are
+// each within the per-question cap but together exceed the per-round one,
+// and a body past the byte cap. Each must get a 400 without touching the
+// round counter or the queue, so the next valid round still gets id 1.
+func TestPostRoundRejectsHostile(t *testing.T) {
+	srv, ts := newTestServer(t)
+	many := make([]QuestionJSON, maxRoundAssignments/maxWorkersPerQuestion+1)
+	for i := range many {
+		many[i] = QuestionJSON{A: 0, B: 1, Workers: maxWorkersPerQuestion}
+	}
+	bodies := map[string][]byte{
+		"workers 2000000": []byte(`{"questions":[{"a":0,"b":1,"workers":2000000}]}`),
+		"workers 2^62":    []byte(`{"questions":[{"a":0,"b":1,"workers":4611686018427387904}]}`),
+		// Valid JSON, so only the byte cap can reject it.
+		"oversized body": []byte(`{"questions":[{"a":0,"b":1,"workers":1}]` + strings.Repeat(" ", maxBodyBytes) + `}`),
+	}
+	data, err := json.Marshal(map[string]any{"questions": many})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies["round over assignment cap"] = data
+	for name, body := range bodies {
+		resp, err := http.Post(ts.URL+"/api/rounds", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s, want 400", name, resp.Status)
+		}
+	}
+	srv.mu.Lock()
+	next, queued := srv.nextRoundID, len(srv.queue)
+	srv.mu.Unlock()
+	if next != 0 || queued != 0 {
+		t.Fatalf("rejected rounds left nextRoundID=%d, %d queued assignments; want 0, 0", next, queued)
+	}
+	resp := postJSON(t, ts.URL+"/api/rounds", map[string]any{
+		"questions": []QuestionJSON{{A: 0, B: 1, Workers: 0}},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("valid round after rejections: %s", resp.Status)
+	}
+	if got := decode[map[string]int64](t, resp); got["round_id"] != 1 {
+		t.Fatalf("valid round after rejections got id %d, want 1", got["round_id"])
+	}
+	srv.mu.Lock()
+	queued = len(srv.queue)
+	srv.mu.Unlock()
+	if queued != 1 {
+		t.Fatalf("workers 0 queued %d assignments, want 1 (clamped)", queued)
+	}
+}

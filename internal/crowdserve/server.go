@@ -66,6 +66,17 @@ const maxWait = 10 * time.Second
 // finished but not yet collected.
 const roundRetention = 1024
 
+// Per-request bounds on what a requester can make the server allocate
+// and do under s.mu: ballots per question, assignments per round, and
+// bytes per POST body. Voting policies ask for a handful of workers per
+// question; a larger request is rejected with a 400 before any state
+// changes.
+const (
+	maxWorkersPerQuestion = 1000
+	maxRoundAssignments   = 1 << 20
+	maxBodyBytes          = 8 << 20
+)
+
 // QuestionJSON is the wire form of one pair-wise question.
 type QuestionJSON struct {
 	A       int `json:"a"`
@@ -351,12 +362,25 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Questions []QuestionJSON `json:"questions"`
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 	if len(body.Questions) == 0 {
 		s.writeError(w, http.StatusBadRequest, "round has no questions")
+		return
+	}
+	assignments := 0
+	for _, q := range body.Questions {
+		if q.Workers > maxWorkersPerQuestion {
+			s.writeError(w, http.StatusBadRequest, "question asks for more than "+strconv.Itoa(maxWorkersPerQuestion)+" workers")
+			return
+		}
+		assignments += max(q.Workers, 1)
+	}
+	if assignments > maxRoundAssignments {
+		s.writeError(w, http.StatusBadRequest, "round asks for more than "+strconv.Itoa(maxRoundAssignments)+" assignments")
 		return
 	}
 	idemKey := ""
@@ -402,10 +426,7 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.now()
 	for i, q := range body.Questions {
-		workers := q.Workers
-		if workers < 1 {
-			workers = 1
-		}
+		workers := max(q.Workers, 1)
 		rd.needed[i] = workers
 		rd.remaining += workers
 		// Full capacity up front: the per-judgment append in
@@ -739,6 +760,7 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 		Worker       string `json:"worker"`
 		Pref         string `json:"pref"`
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		//skylint:alloc-ok malformed-request error path
 		s.writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())

@@ -76,3 +76,46 @@ func BenchmarkKnownQuery(b *testing.B) {
 		g.Known(i%n, (i*31+7)%n)
 	}
 }
+
+// BenchmarkFoldNoisyStream folds a seeded answer stream shaped like a
+// serial CrowdSky run under a noisy crowd: random pairs oriented by a
+// hidden total order, about 5% of them flipped and 2.5% answered Equal.
+// Unlike the chain and random benchmarks, most answers here land on rows
+// that already hold part of the closure, and contradictions and merges
+// are frequent.
+func BenchmarkFoldNoisyStream(b *testing.B) {
+	const n = 4000
+	type answer struct {
+		s, t  int
+		equal bool
+	}
+	rng := rand.New(rand.NewSource(3))
+	rank := rng.Perm(n)
+	stream := make([]answer, 3*n)
+	for k := range stream {
+		s, t := rng.Intn(n), rng.Intn(n)
+		if rank[s] > rank[t] {
+			s, t = t, s
+		}
+		switch r := rng.Float64(); {
+		case r < 0.025:
+			stream[k] = answer{s: s, t: t, equal: true}
+		case r < 0.075:
+			stream[k] = answer{s: t, t: s}
+		default:
+			stream[k] = answer{s: s, t: t}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := New(n)
+		for _, a := range stream {
+			if a.equal {
+				g.AddEqual(a.s, a.t)
+			} else {
+				g.AddPrefer(a.s, a.t)
+			}
+		}
+	}
+}

@@ -3,10 +3,13 @@
 // attributes, learned one crowd answer at a time.
 //
 // Each tuple is a node. A strict preference s ≺ t inserts an edge s → t;
-// reachability (maintained as a bit-set transitive closure in both
-// directions) answers "is s preferred over t?" including everything
+// reachability (maintained as a bit-set transitive closure of each node's
+// descendants) answers "is s preferred over t?" including everything
 // inferable by transitivity — the machinery behind pruning P2 (Corollary 2)
-// and P3 (Section 3.4). Ternary "equally preferred" answers merge nodes
+// and P3 (Section 3.4). Accepted edges are also kept as per-class
+// predecessor lists, so an insertion updates only the ancestor rows that
+// actually change, found by a backward walk that stops at rows which
+// already hold the new bits. Ternary "equally preferred" answers merge nodes
 // into equivalence classes via union–find, so a preference recorded for
 // either member holds for both.
 //
@@ -17,11 +20,7 @@
 // false-preference propagation.
 package prefgraph
 
-import (
-	"math/bits"
-
-	"crowdsky/internal/bitset"
-)
+import "crowdsky/internal/bitset"
 
 // Relation is the known relationship between an ordered pair of nodes.
 type Relation int8
@@ -56,58 +55,87 @@ func (r Relation) String() string {
 
 // Graph is the preference tree T over n nodes. The zero value is unusable;
 // call New.
+//
+// Only the descendant closure is stored: reach[r] is kept transitively
+// closed, and every accepted edge is recorded on its target class's
+// predecessor list. An insertion walks those lists backwards from the
+// class that gained descendants and updates only the rows that change: a
+// class whose row already holds the new bits is skipped together with
+// all of its ancestors, whose rows hold them too by closure.
 type Graph struct {
 	n      int
 	parent []int // union–find parent for equality classes
 	rank   []int
 
 	// reach[r] for a class representative r: bit set of representatives
-	// strictly less preferred than r (descendants). coreach[r]: strictly
-	// more preferred (ancestors). Bits are kept representative-canonical:
-	// after a union the surviving representative's bit is added wherever
-	// the absorbed one's appears; stale bits of absorbed representatives
-	// are never queried because lookups always canonicalize first.
-	reach   []bitset.Set
-	coreach []bitset.Set
+	// strictly less preferred than r (descendants). Bits are kept
+	// representative-canonical: after a union the surviving
+	// representative's bit is added wherever the absorbed one's appears;
+	// stale bits of absorbed representatives are never queried because
+	// lookups always canonicalize first.
+	reach []bitset.Set
+
+	// Predecessor lists: head[r] and tail[r] index the first and last
+	// entry of class r's list in preds (-1 when empty). Each accepted
+	// edge u → v adds one entry to v's list; a union splices the absorbed
+	// class's list onto the survivor's. Entries name the predecessor as
+	// it was when linked, so walks canonicalize with find.
+	head, tail []int32
+	preds      []pred
+
+	// stack is the walk's explicit stack. A walk expands each class at
+	// most once, so it pushes at most 1+len(preds) entries; link keeps
+	// the stack that large.
+	stack []int32
 
 	edges          int // accepted strict-preference insertions
 	unions         int // accepted equality insertions
 	contradictions int // dropped answers that conflicted with T
 }
 
-// New creates an empty preference graph over nodes 0..n-1. The 2n
-// closure rows are carved from a single arena (and parent/rank share one
-// backing array), so a graph costs O(1) allocations however many nodes
-// it has, and rows sit adjacent in the order the propagation loops walk
-// them.
+// pred is one predecessor-list entry: the class an accepted edge came
+// from, and the next entry of the same list (-1 ends it).
+type pred struct{ from, next int32 }
+
+// New creates an empty preference graph over nodes 0..n-1. The n closure
+// rows are carved from a single arena, parent/rank share one backing
+// array and head/tail another, and the predecessor arena and walk stack
+// start with room for n edges, so a graph costs O(1) allocations however
+// many nodes it has.
 func New(n int) *Graph {
 	pr := make([]int, 2*n)
-	rows := bitset.Carve(2*n, n)
+	ht := make([]int32, 2*n)
 	g := &Graph{
-		n:       n,
-		parent:  pr[:n:n],
-		rank:    pr[n:],
-		reach:   rows[:n],
-		coreach: rows[n:],
+		n:      n,
+		parent: pr[:n:n],
+		rank:   pr[n:],
+		reach:  bitset.Carve(n, n),
+		head:   ht[:n:n],
+		tail:   ht[n:],
+		preds:  make([]pred, 0, n),
+		stack:  make([]int32, n+1),
 	}
 	for i := 0; i < n; i++ {
 		g.parent[i] = i
+		g.head[i], g.tail[i] = -1, -1
 	}
 	return g
 }
 
 // Reset returns the graph to its freshly-built empty state without
-// releasing the arena: every closure row is zeroed and every node is its
-// own class again. Sessions that serve rounds against a fixed dataset
-// reuse one graph per crowd attribute this way instead of reallocating
-// 2n bit rows per run.
+// releasing its arenas: every closure row is zeroed, every node is its
+// own class again, and the predecessor arena is truncated but keeps its
+// capacity. Sessions that serve rounds against a fixed dataset reuse one
+// graph per crowd attribute this way instead of reallocating n bit rows
+// per run.
 func (g *Graph) Reset() {
 	for i := 0; i < g.n; i++ {
 		g.parent[i] = i
 		g.rank[i] = 0
 		g.reach[i].Clear()
-		g.coreach[i].Clear()
+		g.head[i], g.tail[i] = -1, -1
 	}
+	g.preds = g.preds[:0]
 	g.edges, g.unions, g.contradictions = 0, 0, 0
 }
 
@@ -164,10 +192,6 @@ func (g *Graph) Comparable(s, t int) bool { return g.Known(s, t) != Unknown }
 // over s); the contradiction is counted and the graph is unchanged. Adding
 // an already-known preference is a no-op returning true.
 //
-// The propagation loops iterate the bit words directly rather than going
-// through ForEach: a closure over (g, v, down) would be re-created — and
-// heap-allocated — on every insertion, on the per-answer hot path.
-//
 //skylint:hotpath
 func (g *Graph) AddPrefer(s, t int) bool {
 	u, v := g.find(s), g.find(t)
@@ -179,52 +203,20 @@ func (g *Graph) AddPrefer(s, t int) bool {
 		return true // already known
 	}
 	g.edges++
-	// Descendants of v (plus v) become reachable from u and every ancestor
-	// of u; ancestors of u (plus u) become co-reachable from v and every
-	// descendant of v.
+	g.link(u, v)
+	// v and its descendants become reachable from u and every ancestor of
+	// u. A class that already reaches v is skipped with its ancestors.
 	down := g.reach[v]
-	up := g.coreach[u]
-
-	g.extendDown(u, v, down)
-	for wi, w := range up {
-		for w != 0 {
-			a := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.extendDown(a, v, down)
-		}
-	}
-
-	g.extendUp(v, u, up)
-	for wi, w := range down {
-		for w != 0 {
-			d := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.extendUp(d, u, up)
+	g.stack[0] = int32(u)
+	for sp := 1; sp > 0; {
+		sp--
+		c := int(g.stack[sp])
+		if row := g.reach[c]; !row.Has(v) {
+			row.OrPlus(down, v)
+			sp = g.pushPreds(c, sp)
 		}
 	}
 	return true
-}
-
-// extendDown makes v and its descendants (down) reachable from a: one
-// fused word pass over the row instead of Add-then-Or touching it twice.
-//
-//skylint:hotpath
-func (g *Graph) extendDown(a, v int, down bitset.Set) {
-	r := g.reach[a]
-	if !r.Has(v) {
-		r.OrPlus(down, v)
-	}
-}
-
-// extendUp makes u and its ancestors (up) co-reachable from d, fused
-// like extendDown.
-//
-//skylint:hotpath
-func (g *Graph) extendUp(d, u int, up bitset.Set) {
-	c := g.coreach[d]
-	if !c.Has(u) {
-		c.OrPlus(up, u)
-	}
 }
 
 // AddEqual records the crowd answer "s and t are equally preferred",
@@ -252,33 +244,63 @@ func (g *Graph) AddEqual(s, t int) bool {
 		g.rank[r]++
 	}
 	g.parent[l] = r
-
-	// The merged class inherits both reach sets in both directions.
 	g.reach[r].Or(g.reach[l])
-	g.coreach[r].Or(g.coreach[l])
+	g.splice(r, l)
 
-	// Canonicalize: wherever the absorbed representative appears as a bit,
-	// the surviving one must appear too, and the neighbors must see the
-	// merged closure. Ancestors of the class gain r's descendants;
-	// descendants gain r's ancestors. Unconditionally — a neighbor that
-	// already saw r still needs the bits just inherited from l — and
-	// word-wise for the same reason as AddPrefer: no per-merge closure
-	// allocations.
-	for wi, w := range g.coreach[r] {
-		for w != 0 {
-			a := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.reach[a].OrPlus(g.reach[r], r)
-		}
-	}
-	for wi, w := range g.reach[r] {
-		for w != 0 {
-			d := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.coreach[d].OrPlus(g.coreach[r], r)
+	// Every strict ancestor of the merged class gains its closure and the
+	// surviving representative's bit. One that already reaches both u and
+	// v holds the merged closure, as do its ancestors; setting both bits
+	// on the others marks them visited.
+	merged := g.reach[r]
+	sp := g.pushPreds(r, 0)
+	for sp > 0 {
+		sp--
+		c := int(g.stack[sp])
+		if row := g.reach[c]; !row.Has(u) || !row.Has(v) {
+			row.OrPlus(merged, r)
+			row.Add(l)
+			sp = g.pushPreds(c, sp)
 		}
 	}
 	return true
+}
+
+// link records the accepted edge u → v on v's predecessor list, growing
+// the walk stack with the arena.
+func (g *Graph) link(u, v int) {
+	e := int32(len(g.preds))
+	//skylint:alloc-ok amortized doubling of the edge arena; Reset keeps its capacity
+	g.preds = append(g.preds, pred{from: int32(u), next: g.head[v]})
+	if len(g.stack) <= len(g.preds) {
+		g.stack = make([]int32, cap(g.preds)+1)
+	}
+	if g.head[v] < 0 {
+		g.tail[v] = e
+	}
+	g.head[v] = e
+}
+
+// splice appends the absorbed class l's predecessor list to r's.
+func (g *Graph) splice(r, l int) {
+	switch {
+	case g.head[l] < 0:
+		return
+	case g.head[r] < 0:
+		g.head[r] = g.head[l]
+	default:
+		g.preds[g.tail[r]].next = g.head[l]
+	}
+	g.tail[r] = g.tail[l]
+}
+
+// pushPreds pushes the current class of every predecessor of c onto the
+// walk stack above sp and returns the new stack height.
+func (g *Graph) pushPreds(c, sp int) int {
+	for e := g.head[c]; e >= 0; e = g.preds[e].next {
+		g.stack[sp] = int32(g.find(int(g.preds[e].from)))
+		sp++
+	}
+	return sp
 }
 
 // Edges returns the number of accepted strict-preference insertions.

@@ -1,10 +1,10 @@
 package prefgraph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestBasicRelations(t *testing.T) {
@@ -123,108 +123,201 @@ func TestEqualityMergeClosesOverBothSides(t *testing.T) {
 	}
 }
 
-// TestAgainstBruteForce compares the incremental closure against a
-// Floyd-Warshall-style reference on random edge sequences.
-func TestAgainstBruteForce(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const n = 12
-		g := New(n)
-		// Reference: rel[i][j] ∈ {0 unknown, 1 prefer}; equality modeled by
-		// a union-find of its own.
-		parent := make([]int, n)
-		for i := range parent {
-			parent[i] = i
-		}
-		var find func(int) int
-		find = func(x int) int {
-			if parent[x] != x {
-				parent[x] = find(parent[x])
-			}
-			return parent[x]
-		}
-		edges := make(map[[2]int]bool)
-		closure := func() [][]bool {
-			reach := make([][]bool, n)
-			for i := range reach {
-				reach[i] = make([]bool, n)
-			}
-			for e := range edges {
-				reach[find(e[0])][find(e[1])] = true
-			}
-			for k := 0; k < n; k++ {
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						if reach[i][find(k)] && reach[find(k)][j] {
-							reach[i][j] = true
-						}
-					}
-				}
-			}
-			return reach
-		}
-		for step := 0; step < 60; step++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a == b {
+// model is the brute-force reference for Graph: a union–find of its own,
+// the accepted edges as given, and a Floyd–Warshall closure over class
+// representatives recomputed after every change.
+type model struct {
+	n              int
+	parent         []int
+	edges          [][2]int
+	reach          [][]bool // reach[i][j] for representatives i, j
+	nEdges, unions int
+	contradictions int
+}
+
+func newModel(n int) *model {
+	m := &model{n: n, reach: make([][]bool, n)}
+	for i := range m.reach {
+		m.reach[i] = make([]bool, n)
+	}
+	m.reset()
+	return m
+}
+
+func (m *model) reset() {
+	m.parent = make([]int, m.n)
+	for i := range m.parent {
+		m.parent[i] = i
+	}
+	m.edges = m.edges[:0]
+	m.nEdges, m.unions, m.contradictions = 0, 0, 0
+	m.close()
+}
+
+func (m *model) find(x int) int {
+	for m.parent[x] != x {
+		x = m.parent[x]
+	}
+	return x
+}
+
+func (m *model) close() {
+	for _, row := range m.reach {
+		clear(row)
+	}
+	for _, e := range m.edges {
+		m.reach[m.find(e[0])][m.find(e[1])] = true
+	}
+	for k := 0; k < m.n; k++ {
+		for i := 0; i < m.n; i++ {
+			if !m.reach[i][k] {
 				continue
 			}
-			reach := closure()
-			if rng.Intn(4) == 0 {
-				// Try an equality.
-				ok := g.AddEqual(a, b)
-				wantOK := !reach[find(a)][find(b)] && !reach[find(b)][find(a)]
-				if find(a) == find(b) {
-					wantOK = true
-				}
-				if ok != wantOK {
-					return false
-				}
-				if wantOK && find(a) != find(b) {
-					// Union in the reference; redirect edges to the root.
-					ra, rb := find(a), find(b)
-					parent[rb] = ra
-					var newEdges = make(map[[2]int]bool)
-					for e := range edges {
-						newEdges[[2]int{find(e[0]), find(e[1])}] = true
-					}
-					edges = newEdges
-				}
-			} else {
-				ok := g.AddPrefer(a, b)
-				wantOK := find(a) != find(b) && !reach[find(b)][find(a)]
-				if ok != wantOK {
-					return false
-				}
-				if wantOK {
-					edges[[2]int{find(a), find(b)}] = true
-				}
-			}
-			// Spot-check a few random queries against the reference.
-			reach = closure()
-			for q := 0; q < 8; q++ {
-				x, y := rng.Intn(n), rng.Intn(n)
-				var want Relation
-				switch {
-				case find(x) == find(y):
-					want = Equal
-				case reach[find(x)][find(y)]:
-					want = Prefer
-				case reach[find(y)][find(x)]:
-					want = Defer
-				default:
-					want = Unknown
-				}
-				if g.Known(x, y) != want {
-					t.Logf("seed %d step %d: Known(%d,%d) = %v, want %v", seed, step, x, y, g.Known(x, y), want)
-					return false
+			for j, kj := range m.reach[k] {
+				if kj {
+					m.reach[i][j] = true
 				}
 			}
 		}
+	}
+}
+
+func (m *model) known(x, y int) Relation {
+	rx, ry := m.find(x), m.find(y)
+	switch {
+	case rx == ry:
+		return Equal
+	case m.reach[rx][ry]:
+		return Prefer
+	case m.reach[ry][rx]:
+		return Defer
+	default:
+		return Unknown
+	}
+}
+
+func (m *model) addPrefer(a, b int) bool {
+	ra, rb := m.find(a), m.find(b)
+	switch {
+	case ra == rb || m.reach[rb][ra]:
+		m.contradictions++
+		return false
+	case m.reach[ra][rb]:
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	m.nEdges++
+	m.edges = append(m.edges, [2]int{a, b})
+	m.close()
+	return true
+}
+
+func (m *model) addEqual(a, b int) bool {
+	ra, rb := m.find(a), m.find(b)
+	switch {
+	case ra == rb:
+		return true
+	case m.reach[ra][rb] || m.reach[rb][ra]:
+		m.contradictions++
+		return false
 	}
+	m.unions++
+	m.parent[rb] = ra
+	m.close()
+	return true
+}
+
+// ancestorMix reports, before merging the classes of a and b, whether
+// some class reaches only a's class, only b's, and both.
+func (m *model) ancestorMix(a, b int) (onlyA, onlyB, both bool) {
+	ra, rb := m.find(a), m.find(b)
+	for c := 0; c < m.n; c++ {
+		if m.find(c) != c {
+			continue
+		}
+		switch x, y := m.reach[c][ra], m.reach[c][rb]; {
+		case x && y:
+			both = true
+		case x:
+			onlyA = true
+		case y:
+			onlyB = true
+		}
+	}
+	return onlyA, onlyB, both
+}
+
+// agree reports the first disagreement between g and m, checking every
+// ordered pair, PreferredSet membership and the counters.
+func agree(g *Graph, m *model) string {
+	for x := 0; x < m.n; x++ {
+		for y := 0; y < m.n; y++ {
+			want := m.known(x, y)
+			if got := g.Known(x, y); got != want {
+				return fmt.Sprintf("Known(%d,%d) = %v, want %v", x, y, got, want)
+			}
+			if got := g.PreferredSet(x).Has(g.find(y)); got != (want == Prefer) {
+				return fmt.Sprintf("PreferredSet(%d).Has(find(%d)) = %v, want %v", x, y, got, want == Prefer)
+			}
+		}
+	}
+	if g.Edges() != m.nEdges || g.Unions() != m.unions || g.Contradictions() != m.contradictions {
+		return fmt.Sprintf("counters (edges, unions, contradictions) = (%d, %d, %d), want (%d, %d, %d)",
+			g.Edges(), g.Unions(), g.Contradictions(), m.nEdges, m.unions, m.contradictions)
+	}
+	return ""
+}
+
+// TestAgainstBruteForce compares the incremental closure against the
+// Floyd–Warshall reference on random answer streams, on every ordered
+// pair after every step: the pruned backward walk is only correct while
+// every row stays transitively closed, so no inconsistency may go
+// unchecked. Equalities are frequent enough that merged classes have
+// ancestors reaching only one side, the other, and both; the test
+// asserts each case occurred. n=70 crosses a word boundary.
+func TestAgainstBruteForce(t *testing.T) {
+	var onlyA, onlyB, both int
+	run := func(n int, seed int64, steps int) {
+		rng := rand.New(rand.NewSource(seed))
+		g, m := New(n), newModel(n)
+		for step := 0; step < steps; step++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			var got, want bool
+			if rng.Intn(3) == 0 {
+				oa, ob, bo := m.ancestorMix(a, b)
+				unions := m.unions
+				got, want = g.AddEqual(a, b), m.addEqual(a, b)
+				if m.unions > unions {
+					onlyA, onlyB, both = onlyA+b2i(oa), onlyB+b2i(ob), both+b2i(bo)
+				}
+			} else {
+				got, want = g.AddPrefer(a, b), m.addPrefer(a, b)
+			}
+			if got != want {
+				t.Fatalf("n=%d seed %d step %d (%d,%d): accepted=%v, want %v", n, seed, step, a, b, got, want)
+			}
+			if msg := agree(g, m); msg != "" {
+				t.Fatalf("n=%d seed %d step %d: %s", n, seed, step, msg)
+			}
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		run(12, seed, 60)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		run(70, seed, 400)
+	}
+	t.Logf("merges with ancestors reaching only one side / the other / both: %d / %d / %d", onlyA, onlyB, both)
+	if onlyA == 0 || onlyB == 0 || both == 0 {
+		t.Fatalf("merges with ancestors reaching only one side / the other / both: %d / %d / %d; want each > 0",
+			onlyA, onlyB, both)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestPreferredSet(t *testing.T) {
