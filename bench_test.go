@@ -57,7 +57,7 @@ func BenchmarkTable1DominatingSets(b *testing.B) {
 	d := dataset.Toy()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		sets := skyline.DominatingSets(d)
+		sets := skyline.NewIndex(d).DominatingSets()
 		total = 0
 		for _, s := range sets {
 			total += len(s)

@@ -1,8 +1,7 @@
 // Command bench is the perf-trajectory harness for the machine part: it
-// times the dominance constructions — the row-scan kernels and the
-// columnar index that replaced them on the hot path — across dataset
-// cardinalities and writes the measurements as JSON, so any two PRs can
-// be compared by diffing their checked-in BENCH_*.json files.
+// times the columnar dominance index and its derivations across dataset
+// cardinalities and writes the measurements as JSON, so any two reports
+// can be compared by diffing their checked-in BENCH_*.json files.
 //
 //	go run ./cmd/bench -out BENCH_PR4.json
 //	go run ./cmd/bench -quick -out bench-smoke.json   # CI smoke, n=1000 only
@@ -15,10 +14,10 @@
 // CI appends the table to the job summary.
 //
 // Each op is measured with testing.Benchmark (standard ns/op, B/op,
-// allocs/op semantics). The *_scan ops are the pre-index kernels kept in
-// internal/skyline as references; the *_index ops include the index build
-// in every iteration, so scan-vs-index rows are an end-to-end
-// before/after comparison at equal work. See docs/PERFORMANCE.md.
+// allocs/op semantics). The *_index ops include the index build in every
+// iteration. The row-scan kernels they replaced are no longer measured;
+// their *_scan rows survive in BENCH_PR4.json and BENCH_PR9.json as the
+// historical before side. See docs/PERFORMANCE.md.
 package main
 
 import (
@@ -137,14 +136,6 @@ func ops() []op {
 				}
 			}
 		}},
-		{"dominating_sets_scan", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					skyline.DominatingSetsParallel(d)
-				}
-			}
-		}},
 		{"dominating_sets_index", func(d *dataset.Dataset) func(*testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
@@ -153,29 +144,11 @@ func ops() []op {
 				}
 			}
 		}},
-		{"immediate_dominators_scan", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				sets := skyline.DominatingSetsParallel(d)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					skyline.ImmediateDominatorsParallel(d, sets)
-				}
-			}
-		}},
 		{"immediate_dominators_index", func(d *dataset.Dataset) func(*testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					skyline.NewIndex(d).ImmediateDominators()
-				}
-			}
-		}},
-		{"oracle_skyline_scan", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					skyline.OracleSkylineParallel(d)
 				}
 			}
 		}},

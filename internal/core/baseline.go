@@ -204,4 +204,4 @@ func dominatesWithEstimates(d *dataset.Dataset, est [][]float64, s, t int) bool 
 // Oracle computes the ground-truth skyline over A from the latent values.
 // It is re-exported here so downstream users of the core package can grade
 // accuracy without importing the skyline substrate directly.
-func Oracle(d *dataset.Dataset) []int { return skyline.OracleSkylineParallel(d) }
+func Oracle(d *dataset.Dataset) []int { return skyline.OracleSkyline(d) }

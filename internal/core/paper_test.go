@@ -48,7 +48,7 @@ func perfectToy() (*dataset.Dataset, *crowd.Perfect) {
 // Example 3.
 func TestPaperTable1(t *testing.T) {
 	d := dataset.Toy()
-	sets := skyline.DominatingSets(d)
+	sets := skyline.NewIndex(d).DominatingSets()
 	want := map[string][]string{
 		"a": {"b"},
 		"b": {},
@@ -84,7 +84,7 @@ func TestPaperTable1(t *testing.T) {
 // (a/g and d/k are interchangeable ties).
 func TestPaperTable2Ordering(t *testing.T) {
 	d := dataset.Toy()
-	sets := skyline.DominatingSets(d)
+	sets := skyline.NewIndex(d).DominatingSets()
 	type entry struct {
 		name string
 		size int
@@ -240,8 +240,7 @@ func TestPaperExample8(t *testing.T) {
 // by Algorithm 2 against the c(t) column of Table 3.
 func TestPaperImmediateDominators(t *testing.T) {
 	d := dataset.Toy()
-	sets := skyline.DominatingSets(d)
-	imm := skyline.ImmediateDominators(d, sets)
+	imm := skyline.NewIndex(d).ImmediateDominators()
 	want := map[string][]string{
 		"a": {"b"},
 		"g": {"e"},

@@ -126,6 +126,9 @@ func TestCrossProcessTrace(t *testing.T) {
 		t.Errorf("run span has parent %s, want root", runSpan.ParentID)
 	}
 	frame := last.Time.Sub(events[0].Time)
+	if frame <= 0 {
+		t.Fatalf("run_start→run_end event frame is %v; events must carry emission times", frame)
+	}
 	spanDur := time.Duration(runSpan.DurationMS * float64(time.Millisecond))
 	if diff := (frame - spanDur).Abs(); diff > 50*time.Millisecond {
 		t.Errorf("run span duration %v vs event frame %v (diff %v)", spanDur, frame, diff)

@@ -7,56 +7,25 @@ import (
 	"crowdsky/internal/dataset"
 )
 
-// Micro-benchmarks for the machine substrate: algorithm families across
-// distributions and the sharded constructions.
+// Micro-benchmarks for the machine substrate: the AK skyline across
+// distributions, the index build and its derivations, and the oracle.
 
 func benchData(b *testing.B, n, dk int, dist dataset.Distribution) *dataset.Dataset {
 	b.Helper()
 	return randData(1, n, dk, 0, dist)
 }
 
-func BenchmarkSkylineAlgorithms(b *testing.B) {
-	algos := []struct {
-		name string
-		run  func(*dataset.Dataset) []int
-	}{
-		{"BNL", BNL},
-		{"SFS", SFS},
-		{"DivideConquer", DivideConquer},
-		{"SkyTree", SkyTree},
-	}
+func BenchmarkKnownSkyline(b *testing.B) {
 	for _, dist := range []dataset.Distribution{dataset.Independent, dataset.AntiCorrelated} {
 		d := benchData(b, 2000, 4, dist)
-		for _, a := range algos {
-			b.Run(fmt.Sprintf("%s/%s", a.name, dist), func(b *testing.B) {
-				var size int
-				for i := 0; i < b.N; i++ {
-					size = len(a.run(d))
-				}
-				b.ReportMetric(float64(size), "skyline_size")
-			})
-		}
+		b.Run(dist.String(), func(b *testing.B) {
+			var size int
+			for i := 0; i < b.N; i++ {
+				size = len(KnownSkyline(d))
+			}
+			b.ReportMetric(float64(size), "skyline_size")
+		})
 	}
-}
-
-func BenchmarkDominatingSets(b *testing.B) {
-	d := benchData(b, 4000, 4, dataset.Independent)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			DominatingSets(d)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			DominatingSetsParallel(d)
-		}
-	})
-	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewIndex(d).DominatingSets()
-		}
-	})
 }
 
 // BenchmarkIndexBuild isolates the one-time cost of the columnar engine:
@@ -75,32 +44,32 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkImmediateDominators pits the O(|DS|²·d) row rescan against the
-// bitset intersection tests of the index (index build included, since the
-// scan kernel gets its sets input for free).
-func BenchmarkImmediateDominators(b *testing.B) {
+// The derivation benchmarks include the index build in every iteration,
+// which is what a run pays for its first derivation.
+
+func BenchmarkDominatingSets(b *testing.B) {
 	d := benchData(b, 4000, 4, dataset.Independent)
-	sets := DominatingSetsParallel(d)
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ImmediateDominatorsParallel(d, sets)
-		}
-	})
-	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewIndex(d).ImmediateDominators()
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewIndex(d).DominatingSets()
+	}
 }
 
-// BenchmarkOracleSkyline compares the row-scan oracle with the
+func BenchmarkImmediateDominators(b *testing.B) {
+	d := benchData(b, 4000, 4, dataset.Independent)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewIndex(d).ImmediateDominators()
+	}
+}
+
+// BenchmarkOracleSkyline compares the sharded scan oracle with the
 // bitmap-backed readout (index build included).
 func BenchmarkOracleSkyline(b *testing.B) {
 	d := randData(1, 4000, 4, 2, dataset.Independent)
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			OracleSkylineParallel(d)
+			OracleSkyline(d)
 		}
 	})
 	b.Run("index", func(b *testing.B) {
@@ -122,8 +91,7 @@ func BenchmarkLayers(b *testing.B) {
 
 func BenchmarkFreqCounter(b *testing.B) {
 	d := benchData(b, 2000, 4, dataset.Independent)
-	sets := DominatingSets(d)
-	fc := NewFreqCounter(d, sets)
+	fc := NewIndex(d).FreqCounter()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fc.Freq(i%d.N(), (i*31+7)%d.N())

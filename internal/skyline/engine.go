@@ -14,16 +14,16 @@ import (
 // This file is the columnar dominance engine. Every crowd-enabled run
 // needs the same quadratic machine part — dominating sets (Definition 5),
 // immediate dominators (Figure 5), co-domination frequencies (Sections 3.4
-// and 5) and ground-truth grading — and the row-pointer kernels in
-// domsets.go/parallel.go recompute the underlying pair-wise dominance
-// tests for each construction independently. Index computes the dominance
-// relation exactly once, as a bitmap, and derives everything else from it:
+// and 5) and ground-truth grading. Building each from row-pointer scans
+// would re-run the pair-wise dominance tests once per construction. Index
+// computes the dominance relation exactly once, as a bitmap, and derives
+// everything else from it:
 //
 //   - the known attributes are materialized into a flat column-major (SoA)
 //     float64 layout, so the kernel streams contiguous memory instead of
 //     chasing [][]float64 row pointers;
-//   - tuples are sorted by a monotone score (the attribute sum, the SFS
-//     ordering already used in algorithms.go): s ≺AK t implies
+//   - tuples are sorted by a monotone score (the attribute sum, the
+//     sort-filter ordering KnownSkyline uses): s ≺AK t implies
 //     score(s) ≤ score(t), so a tuple's dominators all live in the sorted
 //     prefix up to the end of its equal-score run — roughly halving the
 //     candidate space and bounding each bitmap row;
@@ -42,7 +42,8 @@ import (
 //     FreqCounter wraps the transposed bitmap for free, and OracleSkyline
 //     grades from the bitmap plus the latent values.
 //
-// The derivations are bit-for-bit identical to the naive constructions;
+// The derivations are bit-for-bit identical to the naive row-scan
+// constructions kept in the package's test support (naive_test.go);
 // index_test.go and the differential oracle fuzz harness enforce that.
 
 // indexCandChunk is the number of candidate positions per cache block.
@@ -141,8 +142,8 @@ func NewIndex(d *dataset.Dataset) *Index { return NewIndexAlive(d, nil) }
 
 // NewIndexAlive builds the index over the tuples with alive[t] == true;
 // dead tuples get empty dominating sets and are never candidates, exactly
-// like the alive-restricted naive construction in package core. A nil or
-// all-true mask builds the unrestricted index.
+// as if they were absent from d. A nil or all-true mask builds the
+// unrestricted index.
 func NewIndexAlive(d *dataset.Dataset, alive []bool) *Index {
 	start := time.Now()
 	n := d.N()
@@ -654,7 +655,7 @@ func (ix *Index) ForEachDominated(s int, fn func(t int)) {
 
 // DominatingSets returns DS(t) = {s : s ≺AK t} for every tuple, indexed
 // by original tuple index with dominators in ascending index order —
-// bit-for-bit the result of the naive DominatingSets (dead tuples and
+// bit-for-bit the result of the naive row scan (dead tuples and
 // skyline tuples get nil sets). The first call materializes the sets by
 // transposed counting fill: every set is carved at its exact size from
 // one backing array, so nothing regrows. The result is memoized and
@@ -716,11 +717,10 @@ func (ix *Index) buildSets() {
 }
 
 // ImmediateDominators returns c(t) for every tuple: the members of DS(t)
-// with no intermediate dominator, identical to the naive
-// ImmediateDominators over this index's dominating sets. Each membership
-// test is one early-exit bitset intersection — s is immediate iff the set
-// of tuples s dominates is disjoint from DS(t) — instead of an
-// O(|DS|·d) rescan per member.
+// with no intermediate dominator, identical to the naive rescan over this
+// index's dominating sets. Each membership test is one early-exit bitset
+// intersection — s is immediate iff the set of tuples s dominates is
+// disjoint from DS(t) — instead of an O(|DS|·d) rescan per member.
 func (ix *Index) ImmediateDominators() [][]int {
 	sets := ix.DominatingSets()
 	im := make([][]int, ix.n)
@@ -742,10 +742,39 @@ func (ix *Index) ImmediateDominators() [][]int {
 	return im
 }
 
+// FreqCounter answers co-domination frequency queries
+//
+//	freq(u,v) = |{x ∈ R : u ≺AK x ∧ v ≺AK x}|
+//
+// used both to order probing questions (Section 3.4) and to grade question
+// importance for dynamic voting (Section 5). It wraps the transposed
+// bitmap of an Index, so each query is a single AND-popcount pass.
+type FreqCounter struct {
+	// dominated[p] = {q : order[p] ≺AK order[q]}, rows and member bits
+	// keyed by index position; pos remaps original tuple indices to rows
+	// (-1 when not indexed). Frequencies are counts, so the relabeling is
+	// invisible to callers.
+	dominated []bitset.Set
+	pos       []int
+}
+
 // FreqCounter returns a co-domination frequency counter backed by the
 // index's bitmap; building it costs nothing beyond the index itself.
 func (ix *Index) FreqCounter() *FreqCounter {
 	return &FreqCounter{dominated: ix.dom, pos: ix.pos}
+}
+
+// Freq returns freq(u,v), the number of tuples dominated by both u and v
+// on the known attributes. Tuples excluded from an alive-restricted index
+// dominate nothing, so any query involving one returns 0.
+//
+//skylint:hotpath
+func (fc *FreqCounter) Freq(u, v int) int {
+	pu, pv := fc.pos[u], fc.pos[v]
+	if pu < 0 || pv < 0 {
+		return 0
+	}
+	return fc.dominated[pu].AndCount(fc.dominated[pv])
 }
 
 // KnownSkyline returns SKY_AK over the indexed tuples — exactly the
@@ -761,12 +790,12 @@ func (ix *Index) KnownSkyline() []int {
 }
 
 // OracleSkyline computes SKY_A(R) from the bitmap plus the latent crowd
-// values, identical to the naive OracleSkyline: a tuple is dominated over
+// values, identical to the scan OracleSkyline: a tuple is dominated over
 // A = AK ∪ AC iff some AK-dominator also weakly precedes it on every
 // crowd attribute, or some AK-identical tuple strictly precedes it in AC.
 // AK-identical tuples are exactly the members of the target's duplicate
 // group, so the second case walks the persisted group instead of
-// re-comparing rows. Like the naive oracle it may only be used for
+// re-comparing rows. Like the scan oracle it may only be used for
 // grading, never by a crowd-enabled algorithm.
 func (ix *Index) OracleSkyline() []int {
 	if !ix.allAlive() {

@@ -106,7 +106,7 @@ func checkIndexAgainstNaive(t *testing.T, d *dataset.Dataset) {
 	t.Helper()
 	ix := NewIndex(d)
 
-	wantSets := DominatingSets(d)
+	wantSets := dominatingSets(d)
 	gotSets := ix.DominatingSets()
 	if !reflect.DeepEqual(gotSets, wantSets) {
 		t.Fatalf("DominatingSets: index disagrees with naive\n got %v\nwant %v", gotSets, wantSets)
@@ -120,17 +120,17 @@ func checkIndexAgainstNaive(t *testing.T, d *dataset.Dataset) {
 		t.Fatalf("DominatingSets not memoized")
 	}
 
-	wantIm := ImmediateDominators(d, wantSets)
+	wantIm := immediateDominators(d, wantSets)
 	if gotIm := ix.ImmediateDominators(); !reflect.DeepEqual(gotIm, wantIm) {
 		t.Fatalf("ImmediateDominators: index disagrees with naive\n got %v\nwant %v", gotIm, wantIm)
 	}
 
-	wantFC := NewFreqCounter(d, wantSets)
-	gotFC := ix.FreqCounter()
 	n := d.N()
+	wantFreq := naiveFreq(n, wantSets)
+	gotFC := ix.FreqCounter()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			if got, want := gotFC.Freq(u, v), wantFC.Freq(u, v); got != want {
+			if got, want := gotFC.Freq(u, v), wantFreq[u][v]; got != want {
 				t.Fatalf("Freq(%d,%d) = %d, naive %d", u, v, got, want)
 			}
 		}
@@ -251,8 +251,9 @@ func TestIndexAliveAllTrueMatchesUnrestricted(t *testing.T) {
 }
 
 // TestIndexParallelPath forces the sharded kernels on a small dataset so
-// the race detector sees the concurrent tile writes, transpose blocks and
-// derivation shards.
+// the race detector sees the concurrent tile writes, transpose blocks,
+// derivation shards and the sharded OracleSkyline scan it is graded
+// against.
 func TestIndexParallelPath(t *testing.T) {
 	old := parallelThreshold
 	parallelThreshold = 1
@@ -270,10 +271,10 @@ func TestIndexManyChunks(t *testing.T) {
 	}
 	d := randData(51, indexCandChunk+300, 3, 1, dataset.AntiCorrelated)
 	ix := NewIndex(d)
-	if got, want := ix.DominatingSets(), DominatingSetsParallel(d); !reflect.DeepEqual(got, want) {
+	if got, want := ix.DominatingSets(), dominatingSets(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DominatingSets disagrees across chunk boundary")
 	}
-	if got, want := ix.OracleSkyline(), OracleSkylineParallel(d); !reflect.DeepEqual(got, want) {
+	if got, want := ix.OracleSkyline(), OracleSkyline(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("OracleSkyline disagrees across chunk boundary")
 	}
 }

@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -31,42 +32,47 @@ func TestDominance(t *testing.T) {
 	if DominatesKnown(d, 2, 3) || DominatesKnown(d, 3, 2) {
 		t.Errorf("incomparable pair reported dominated")
 	}
-	if !IncomparableKnown(d, 2, 3) {
-		t.Errorf("IncomparableKnown wrong")
-	}
 	if DominatesKnown(d, 0, 4) || DominatesKnown(d, 4, 0) {
 		t.Errorf("identical tuples dominate each other")
 	}
 	if !EqualKnown(d, 0, 4) || EqualKnown(d, 0, 1) {
 		t.Errorf("EqualKnown wrong")
 	}
-	if IncomparableKnown(d, 0, 4) {
-		t.Errorf("identical tuples reported incomparable")
-	}
 }
 
-// TestBNLvsSFS: two independent skyline implementations agree on random
-// data (cross-validation property).
+// TestBNLvsSFS: KnownSkyline (sort-filter skyline) agrees with the
+// independent block-nested-loops reference on random data and on a
+// duplicate-heavy relation whose exact twins must all stay in, or all
+// drop out of, the skyline.
 func TestBNLvsSFS(t *testing.T) {
 	prop := func(seed int64, rawN uint8, rawDK, rawDist uint8) bool {
 		n := int(rawN)%100 + 1
 		dk := int(rawDK)%4 + 1
 		dist := dataset.Distribution(int(rawDist) % 3)
 		d := randData(seed, n, dk, 0, dist)
-		a := BNL(d)
-		b := SFS(d)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(bnl(d), KnownSkyline(d))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+
+	known := [][]float64{
+		{1, 1}, {1, 1}, {1, 1}, // triple twin, all skyline
+		{2, 0.5}, {2, 0.5}, // twin pair, skyline
+		{3, 3}, {3, 3}, // twin pair, dominated
+		{0.5, 2},
+	}
+	latent := make([][]float64, len(known))
+	for i := range latent {
+		latent[i] = []float64{0}
+	}
+	d := dataset.MustNew(known, latent)
+	want := []int{0, 1, 2, 3, 4, 7}
+	if got := KnownSkyline(d); !reflect.DeepEqual(got, want) {
+		t.Errorf("KnownSkyline = %v, want %v", got, want)
+	}
+	if got := bnl(d); !reflect.DeepEqual(got, want) {
+		t.Errorf("bnl = %v, want %v", got, want)
 	}
 }
 
@@ -127,7 +133,7 @@ func TestLayersPartition(t *testing.T) {
 // dominating t, and |DS| is monotone along dominance (Lemma 3).
 func TestDominatingSetsDefinition(t *testing.T) {
 	d := randData(7, 50, 3, 0, dataset.AntiCorrelated)
-	sets := DominatingSets(d)
+	sets := NewIndex(d).DominatingSets()
 	for t2 := 0; t2 < d.N(); t2++ {
 		in := make(map[int]bool)
 		for _, s := range sets[t2] {
@@ -156,8 +162,9 @@ func TestDominatingSetsDefinition(t *testing.T) {
 // dominator through the dominance DAG.
 func TestImmediateDominatorsDefinition(t *testing.T) {
 	d := randData(11, 40, 2, 0, dataset.Independent)
-	sets := DominatingSets(d)
-	imm := ImmediateDominators(d, sets)
+	ix := NewIndex(d)
+	sets := ix.DominatingSets()
+	imm := ix.ImmediateDominators()
 	for t2 := 0; t2 < d.N(); t2++ {
 		inDS := make(map[int]bool)
 		for _, s := range sets[t2] {
@@ -193,8 +200,7 @@ func TestImmediateDominatorsDefinition(t *testing.T) {
 // TestFreqCounter: freq(u,v) equals the brute-force co-domination count.
 func TestFreqCounter(t *testing.T) {
 	d := randData(13, 40, 2, 0, dataset.AntiCorrelated)
-	sets := DominatingSets(d)
-	fc := NewFreqCounter(d, sets)
+	fc := NewIndex(d).FreqCounter()
 	for u := 0; u < d.N(); u++ {
 		for v := u + 1; v < d.N(); v++ {
 			want := 0
@@ -231,144 +237,9 @@ func TestOracleSkylineSubsetsKnown(t *testing.T) {
 
 func TestSortedOutputs(t *testing.T) {
 	d := randData(17, 70, 3, 0, dataset.AntiCorrelated)
-	for name, sky := range map[string][]int{"BNL": BNL(d), "SFS": SFS(d), "Oracle": OracleSkyline(d)} {
+	for name, sky := range map[string][]int{"bnl": bnl(d), "KnownSkyline": KnownSkyline(d), "Oracle": OracleSkyline(d)} {
 		if !sort.IntsAreSorted(sky) {
 			t.Errorf("%s output not sorted", name)
 		}
-	}
-}
-
-// TestAdvancedAlgorithmsAgree cross-validates DivideConquer and SkyTree
-// against SFS on random datasets of every distribution, including
-// duplicate-heavy ones.
-func TestAdvancedAlgorithmsAgree(t *testing.T) {
-	prop := func(seed int64, rawN uint8, rawDK, rawDist uint8) bool {
-		n := int(rawN)%150 + 1
-		dk := int(rawDK)%5 + 1
-		dist := dataset.Distribution(int(rawDist) % 3)
-		d := randData(seed, n, dk, 0, dist)
-		want := SFS(d)
-		for name, algo := range map[string]func(*dataset.Dataset) []int{
-			"DivideConquer": DivideConquer,
-			"SkyTree":       SkyTree,
-		} {
-			got := algo(d)
-			if len(got) != len(want) {
-				t.Logf("%s: size %d, want %d (seed %d n %d dk %d %v)", name, len(got), len(want), seed, n, dk, dist)
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Logf("%s: mismatch at %d (seed %d)", name, i, seed)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAdvancedAlgorithmsWithDuplicates: exact duplicate rows exercise the
-// degenerate splits of DivideConquer and the twin regions of SkyTree.
-func TestAdvancedAlgorithmsWithDuplicates(t *testing.T) {
-	known := [][]float64{
-		{1, 1}, {1, 1}, {1, 1}, // triple twin, all skyline
-		{2, 0.5}, {2, 0.5}, // twin pair, skyline
-		{3, 3}, {3, 3}, // twin pair, dominated
-		{0.5, 2},
-	}
-	latent := make([][]float64, len(known))
-	for i := range latent {
-		latent[i] = []float64{0}
-	}
-	d := dataset.MustNew(known, latent)
-	want := SFS(d)
-	if len(want) != 6 {
-		t.Fatalf("reference skyline = %v", want)
-	}
-	for name, algo := range map[string]func(*dataset.Dataset) []int{
-		"BNL":           BNL,
-		"DivideConquer": DivideConquer,
-		"SkyTree":       SkyTree,
-	} {
-		got := algo(d)
-		if len(got) != len(want) {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
-	}
-}
-
-// TestParallelConstructionsMatchSerial: the CPU-sharded constructions are
-// bit-identical to their serial counterparts (above and below the
-// sharding threshold).
-func TestParallelConstructionsMatchSerial(t *testing.T) {
-	for _, n := range []int{50, 2100} {
-		d := randData(19, n, 3, 1, dataset.AntiCorrelated)
-		serialSets := DominatingSets(d)
-		parSets := DominatingSetsParallel(d)
-		for i := range serialSets {
-			if len(serialSets[i]) != len(parSets[i]) {
-				t.Fatalf("n=%d: DS(%d) sizes differ", n, i)
-			}
-			for j := range serialSets[i] {
-				if serialSets[i][j] != parSets[i][j] {
-					t.Fatalf("n=%d: DS(%d) differs at %d", n, i, j)
-				}
-			}
-		}
-		so := OracleSkyline(d)
-		po := OracleSkylineParallel(d)
-		if len(so) != len(po) {
-			t.Fatalf("n=%d: oracle sizes differ", n)
-		}
-		for i := range so {
-			if so[i] != po[i] {
-				t.Fatalf("n=%d: oracle differs at %d", n, i)
-			}
-		}
-		si := ImmediateDominators(d, serialSets)
-		pi := ImmediateDominatorsParallel(d, serialSets)
-		for i := range si {
-			if len(si[i]) != len(pi[i]) {
-				t.Fatalf("n=%d: c(%d) sizes differ", n, i)
-			}
-		}
-	}
-}
-
-// TestTopKDominating: domination counts are correct, the ordering is
-// descending, and the top-1 of a dominated chain is its head.
-func TestTopKDominating(t *testing.T) {
-	d := dataset.MustNew([][]float64{
-		{1, 1}, // dominates everyone
-		{2, 2},
-		{3, 3},
-		{9, 0.5}, // incomparable with the chain, dominates nobody
-	}, [][]float64{{0}, {0}, {0}, {0}})
-	top := TopKDominating(d, 2)
-	if len(top) != 2 || top[0] != 0 || top[1] != 1 {
-		t.Errorf("top-2 = %v, want [0 1]", top)
-	}
-	if got := TopKDominating(d, 99); len(got) != d.N() {
-		t.Errorf("k > n returned %d tuples", len(got))
-	}
-	if TopKDominating(d, 0) != nil {
-		t.Errorf("k = 0 returned tuples")
-	}
-	// The most-dominating tuple always belongs to the skyline on
-	// distinct-valued data.
-	rd := randData(23, 60, 3, 0, dataset.Independent)
-	top1 := TopKDominating(rd, 1)[0]
-	inSky := false
-	for _, s := range KnownSkyline(rd) {
-		if s == top1 {
-			inSky = true
-		}
-	}
-	if !inSky {
-		t.Errorf("top-1 dominating tuple %d not in the skyline", top1)
 	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // TestZeroAlloc is the CI gate for the dominance query kernels: once an
-// index (or frequency counter) is built, point queries must not allocate.
+// index is built, point queries on it and its frequency counter must not
+// allocate.
 // Dominates is two array loads and a bit test; Freq is one AND-popcount
 // pass over pre-built rows; ForEachDominated walks one pre-built row. A
 // regression here means a query started materializing state that belongs
@@ -19,7 +20,7 @@ func TestZeroAlloc(t *testing.T) {
 		N: 256, KnownDims: 4, CrowdDims: 2, Distribution: dataset.Independent,
 	}, rng)
 	ix := NewIndex(d)
-	fc := NewFreqCounter(d, DominatingSets(d))
+	fc := ix.FreqCounter()
 	visited := 0
 	query := func() {
 		for s := 0; s < 16; s++ {

@@ -186,7 +186,8 @@ type Tracer interface {
 }
 
 // Collector is a Tracer that appends every event to memory; intended for
-// tests and in-process inspection.
+// tests and in-process inspection. Like JSONL it stamps events emitted
+// without a Time.
 type Collector struct {
 	mu     sync.Mutex
 	events []Event // skylint:guardedby mu
@@ -197,6 +198,9 @@ func (c *Collector) Emit(e Event) { // skylint:ignore recvcopy Emit's by-value s
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.Seq = len(c.events) + 1
+	if e.Time.IsZero() {
+		e.Time = time.Now().UTC()
+	}
 	//skylint:alloc-ok the Collector is the in-memory test tracer; unbounded growth is its contract
 	c.events = append(c.events, e)
 }
@@ -260,14 +264,14 @@ func Multi(tracers ...Tracer) Tracer {
 // Emit implements Tracer.
 func (m multi) Emit(e Event) { // skylint:ignore recvcopy Emit's by-value signature is pinned by the Tracer interface
 	for _, t := range m {
-		// skylint:ignore niltrace Multi filters nil members at construction
+		// skylint:ignore nilness Multi filters nil members at construction
 		t.Emit(e)
 	}
 }
 
 // Emit forwards e to t if t is non-nil. It is the sanctioned way to emit
 // on a possibly-nil Tracer without writing the nil check inline (the
-// niltrace analyzer accepts call sites spelled telemetry.Emit(t, e)).
+// nilness analyzer accepts call sites spelled telemetry.Emit(t, e)).
 func Emit(t Tracer, e Event) {
 	if t != nil {
 		t.Emit(e)
