@@ -1,17 +1,3 @@
-// Chaos mode: `bench -chaos` runs a full crowd-skyline session against an
-// in-process marketplace under seeded fault injection — transport resets,
-// 503s, latency, truncated bodies, misbehaving workers, and a requester
-// crash that tears the journal mid-write — then resumes from the
-// recovered journal and checks the paper's two invariants:
-//
-//  1. the crowdsourced skyline equals the oracle skyline;
-//  2. no answer that survived in the journal is purchased again.
-//
-// The run writes a JSON verdict to -out and leaves its artifacts (the
-// torn journal, the recovered journal, the server-side trace) under
-// -chaos-dir for CI to upload on failure. Any invariant violation exits
-// non-zero — unlike the perf comparison, this is a hard gate: the
-// invariants are exact properties, not machine-dependent timings.
 package main
 
 import (

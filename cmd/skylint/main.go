@@ -1,7 +1,7 @@
 // Command skylint is the repository's static-analysis gate: it runs the
-// fourteen CrowdSky-specific analyzers of internal/lint — the AST
+// thirteen CrowdSky-specific analyzers of internal/lint — the AST
 // contract checks (detrange, floateq, errdrop), the flow-sensitive
-// concurrency/trace checks (lockorder, ctxleak, wgbalance, goroleak,
+// concurrency/trace checks (lockorder, wgbalance, goroleak,
 // traceschema), the interprocedural hot-path checks (hotalloc, recvcopy,
 // purity) and the SSA value-flow checks (nilness, lockset, crowdtaint) —
 // and, by default, `go vet`, over the given package patterns. A
@@ -13,20 +13,12 @@
 //
 //	-novet           skip the go vet pass (the analyzers still run)
 //	-list            print the analyzers and exit
-//	-tests           also analyze in-package _test.go files
-//	-json            print findings as a JSON array instead of text lines
 //	-sarif FILE      additionally write a SARIF 2.1.0 report ("-" = stdout)
-//	-baseline FILE   suppress findings matched by the baseline file; stale
-//	                 entries fail the run (defaults to .skylint-baseline.json
-//	                 when that file exists)
-//	-callgraph       dump the interprocedural call graph (one line per
-//	                 function, "[hot:scope]"-tagged, edges indented) and
-//	                 exit without running analyzers
 //
 // Text findings are file:line:col-prefixed, one per line, sorted by
 // (file, line, col, analyzer) so CI output is stable and diffable. See
-// docs/STATIC_ANALYSIS.md for what each analyzer enforces, the
-// `skylint:ignore` suppression comment, and the baseline format.
+// docs/STATIC_ANALYSIS.md for what each analyzer enforces and the
+// `skylint:ignore` suppression comment.
 package main
 
 import (
@@ -36,19 +28,12 @@ import (
 	"os/exec"
 
 	"crowdsky/internal/lint"
-	"crowdsky/internal/lint/loader"
 )
-
-const defaultBaseline = ".skylint-baseline.json"
 
 func main() {
 	novet := flag.Bool("novet", false, "skip the go vet pass")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	jsonOut := flag.Bool("json", false, "print findings as JSON")
 	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
-	baselinePath := flag.String("baseline", "", "baseline file of grandfathered findings (default "+defaultBaseline+" if present)")
-	dumpGraph := flag.Bool("callgraph", false, "dump the interprocedural call graph and exit")
 	flag.Parse()
 
 	if *list {
@@ -61,16 +46,6 @@ func main() {
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	if *dumpGraph {
-		dump, err := lint.DumpCallGraph(".", patterns, loader.Options{Tests: *tests})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skylint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(dump)
-		return
 	}
 
 	failed := false
@@ -86,32 +61,10 @@ func main() {
 		}
 	}
 
-	findings, err := lint.Run(".", patterns, lint.All(), loader.Options{Tests: *tests})
+	findings, err := lint.Run(".", patterns, lint.All())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skylint: %v\n", err)
 		os.Exit(2)
-	}
-
-	// Baseline: explicit flag, or the default file when it exists.
-	bl := *baselinePath
-	if bl == "" {
-		if _, statErr := os.Stat(defaultBaseline); statErr == nil {
-			bl = defaultBaseline
-		}
-	}
-	if bl != "" {
-		entries, err := lint.LoadBaseline(bl)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skylint: %v\n", err)
-			os.Exit(2)
-		}
-		var stale []lint.BaselineEntry
-		findings, stale = lint.ApplyBaseline(findings, entries)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "skylint: stale baseline entry in %s: %s %q in %s no longer fires — remove it\n",
-				bl, e.Analyzer, e.Message, e.File)
-			failed = true
-		}
 	}
 
 	if *sarifPath != "" {
@@ -128,17 +81,8 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		doc, err := lint.ToJSON(findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skylint: encoding JSON: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Println(string(doc))
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 || failed {
 		os.Exit(1)

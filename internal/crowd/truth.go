@@ -6,6 +6,9 @@ import "crowdsky/internal/dataset"
 // synthetic evaluation derives answers from the latent crowd-attribute
 // values (Section 6.1); DatasetTruth implements exactly that.
 type Truth interface {
+	// Contains reports whether q names two tuples and a crowd attribute
+	// the truth knows. Answer is defined only for questions it contains.
+	Contains(q Question) bool
 	// Answer returns the correct preference for q.
 	Answer(q Question) Preference
 	// Value returns the latent value of tuple i on crowd attribute j, for
@@ -21,6 +24,12 @@ type Truth interface {
 type DatasetTruth struct {
 	Data    *dataset.Dataset
 	Epsilon float64
+}
+
+// Contains implements Truth.
+func (t DatasetTruth) Contains(q Question) bool {
+	n := t.Data.N()
+	return q.A >= 0 && q.A < n && q.B >= 0 && q.B < n && q.Attr >= 0 && q.Attr < t.Data.CrowdDims()
 }
 
 // Answer implements Truth.

@@ -312,6 +312,7 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // staticTruth always prefers the first tuple; enough for one question.
 type staticTruth struct{}
 
+func (staticTruth) Contains(crowd.Question) bool           { return true }
 func (staticTruth) Answer(crowd.Question) crowd.Preference { return crowd.First }
 func (staticTruth) Value(i, j int) float64                 { return float64(i) }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -451,9 +452,10 @@ func TestPersistRequeuesAndPerWorker(t *testing.T) {
 
 // TestPostRoundRejectsHostile sends rounds that would make the server
 // allocate without bound or panic — a question with millions of workers,
-// one whose workers overflow a slice length, a round whose questions are
-// each within the per-question cap but together exceed the per-round one,
-// and a body past the byte cap. Each must get a 400 without touching the
+// one whose workers overflow a slice length, negative tuple ids or
+// attribute, a round whose questions are each within the per-question
+// cap but together exceed the per-round one, and a body past the byte
+// cap. Each must get a 400 without touching the
 // round counter or the queue, so the next valid round still gets id 1.
 func TestPostRoundRejectsHostile(t *testing.T) {
 	srv, ts := newTestServer(t)
@@ -464,6 +466,9 @@ func TestPostRoundRejectsHostile(t *testing.T) {
 	bodies := map[string][]byte{
 		"workers 2000000": []byte(`{"questions":[{"a":0,"b":1,"workers":2000000}]}`),
 		"workers 2^62":    []byte(`{"questions":[{"a":0,"b":1,"workers":4611686018427387904}]}`),
+		"negative a":      []byte(`{"questions":[{"a":-1,"b":1,"workers":1}]}`),
+		"negative b":      []byte(`{"questions":[{"a":0,"b":-5,"workers":1}]}`),
+		"negative attr":   []byte(`{"questions":[{"a":0,"b":1,"attr":-1,"workers":1}]}`),
 		// Valid JSON, so only the byte cap can reject it.
 		"oversized body": []byte(`{"questions":[{"a":0,"b":1,"workers":1}]` + strings.Repeat(" ", maxBodyBytes) + `}`),
 	}
@@ -503,4 +508,63 @@ func TestPostRoundRejectsHostile(t *testing.T) {
 	if queued != 1 {
 		t.Fatalf("workers 0 queued %d assignments, want 1 (clamped)", queued)
 	}
+}
+
+// TestSimulatedWorkerSkipsUnknownTuples posts a question about a tuple
+// id far past the simulated workers' 50-tuple dataset. The worker must
+// skip that job rather than index out of range (which would take the
+// whole process down), and go on to answer the next valid round.
+func TestSimulatedWorkerSkipsUnknownTuples(t *testing.T) {
+	_, ts := newTestServer(t)
+	d := dataset.MustGenerate(dataset.GenerateConfig{
+		N: 50, KnownDims: 2, CrowdDims: 1, Distribution: dataset.Independent,
+	}, rand.New(rand.NewSource(1)))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	workersDone := make(chan struct{})
+	go func() {
+		defer close(workersDone)
+		SimulateWorkers(ctx, ts.URL, WorkerConfig{
+			Count:        1,
+			Truth:        crowd.DatasetTruth{Data: d},
+			Reliability:  1,
+			PollInterval: 2 * time.Millisecond,
+			Seed:         1,
+		})
+	}()
+
+	for _, body := range []string{
+		`{"questions":[{"a":0,"b":999999,"workers":1}]}`,
+		`{"questions":[{"a":0,"b":1,"workers":1}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/api/rounds", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("post %s: %s", body, resp.Status)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/api/rounds/2?wait=10000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status := decode[struct {
+		Done bool `json:"done"`
+	}](t, resp); !status.Done {
+		t.Fatal("valid round after the out-of-range one was not answered")
+	}
+	resp, err = http.Get(ts.URL + "/api/rounds/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status := decode[struct {
+		Done bool `json:"done"`
+	}](t, resp); status.Done {
+		t.Fatal("out-of-range round was answered")
+	}
+	cancel()
+	<-workersDone
 }

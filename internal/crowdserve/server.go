@@ -373,6 +373,10 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 	}
 	assignments := 0
 	for _, q := range body.Questions {
+		if q.A < 0 || q.B < 0 || q.Attr < 0 {
+			s.writeError(w, http.StatusBadRequest, "question has a negative tuple id or attribute")
+			return
+		}
 		if q.Workers > maxWorkersPerQuestion {
 			s.writeError(w, http.StatusBadRequest, "question asks for more than "+strconv.Itoa(maxWorkersPerQuestion)+" workers")
 			return

@@ -72,7 +72,14 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 					}
 					continue
 				}
-				truth := cfg.Truth.Answer(crowd.Question{A: job.A, B: job.B, Attr: job.Attr})
+				q := crowd.Question{A: job.A, B: job.B, Attr: job.Attr}
+				if !cfg.Truth.Contains(q) {
+					// The requester asked about tuples this worker's
+					// dataset does not have: skip the job rather than
+					// judge it; its lease lapses back to the queue.
+					continue
+				}
+				truth := cfg.Truth.Answer(q)
 				answer := worker.Judge(truth, rng)
 				var fault faultinject.Kind
 				if cfg.Faults != nil {

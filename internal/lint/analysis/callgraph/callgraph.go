@@ -734,22 +734,3 @@ func sigString(sig *types.Signature) string {
 	}
 	return b.String()
 }
-
-// Dump writes the graph in a stable text form: one line per node
-// ("[hot:<scope>] id"), indented lines per outgoing edge and external
-// call. cmd/skylint -callgraph prints this.
-func (g *Graph) Dump(w *strings.Builder) {
-	for _, n := range g.Nodes {
-		if n.Hot != HotNone {
-			fmt.Fprintf(w, "%s [hot:%s]\n", n.ID, n.Hot)
-		} else {
-			fmt.Fprintf(w, "%s\n", n.ID)
-		}
-		for _, e := range n.Out {
-			fmt.Fprintf(w, "  -> %s (%s)\n", e.Callee.ID, e.Kind)
-		}
-		for _, ext := range n.External {
-			fmt.Fprintf(w, "  ~> %s\n", ext)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -170,12 +171,12 @@ func TestBottomUpFixpoint(t *testing.T) {
 // order and external calls may not depend on map iteration or pointer
 // identity.
 func TestGraphBuildDeterministic(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "hotalloc")
 	build := func() string {
-		pkg, err := loader.LoadDir(dir, "hotalloc")
+		pkgs, err := loader.LoadFixture(filepath.Join("..", "..", "testdata"), []string{"hotalloc"})
 		if err != nil {
 			t.Fatalf("loading fixture: %v", err)
 		}
+		pkg := pkgs[0]
 		pass := &analysis.Pass{
 			Analyzer: &analysis.Analyzer{Name: "cgtest"},
 			Fset:     pkg.Fset,
@@ -187,7 +188,7 @@ func TestGraphBuildDeterministic(t *testing.T) {
 		pass.SetProgram(analysis.NewProgram())
 		g := Shared(pass).Graph()
 		var sb strings.Builder
-		g.Dump(&sb)
+		dump(g, &sb)
 		return sb.String()
 	}
 	first := build()
@@ -197,6 +198,25 @@ func TestGraphBuildDeterministic(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if got := build(); got != first {
 			t.Fatalf("dump differs across builds:\n--- first\n%s\n--- run %d\n%s", first, i, got)
+		}
+	}
+}
+
+// dump writes the graph in a stable text form: one line per node
+// ("[hot:<scope>] id"), indented lines per outgoing edge and external
+// call.
+func dump(g *Graph, w *strings.Builder) {
+	for _, n := range g.Nodes {
+		if n.Hot != HotNone {
+			fmt.Fprintf(w, "%s [hot:%s]\n", n.ID, n.Hot)
+		} else {
+			fmt.Fprintf(w, "%s\n", n.ID)
+		}
+		for _, e := range n.Out {
+			fmt.Fprintf(w, "  -> %s (%s)\n", e.Callee.ID, e.Kind)
+		}
+		for _, ext := range n.External {
+			fmt.Fprintf(w, "  ~> %s\n", ext)
 		}
 	}
 }

@@ -301,9 +301,9 @@ func TestForSelectWithoutExitUnreachable(t *testing.T) {
 	}
 }
 
-// TestMustDataflowCancelCoverage runs the Must solver on the shape ctxleak
-// cares about: fact 0 = "cancel was called". The call on only one branch
-// must not survive the join; a defer right after creation must.
+// TestMustDataflowCancelCoverage runs the Must solver on a cancel
+// coverage shape: fact 0 = "cancel was called". The call on only one
+// branch must not survive the join; a defer right after creation must.
 func TestMustDataflowCancelCoverage(t *testing.T) {
 	run := func(src string) bool {
 		g, _ := parse(t, src)

@@ -15,7 +15,7 @@ func TestRepoWideBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole repository")
 	}
-	pkgs, err := loader.Load("../../../..", []string{"./..."}, loader.Options{})
+	pkgs, err := loader.Load("../../../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("loading repository: %v", err)
 	}

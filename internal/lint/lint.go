@@ -38,7 +38,6 @@ func All() []*analysis.Analyzer {
 		FloatEq,
 		ErrDrop,
 		LockOrder,
-		CtxLeak,
 		WgBalance,
 		GoroLeak,
 		TraceSchema,

@@ -2,7 +2,6 @@ package lint_test
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -43,7 +42,7 @@ func TestCrowdTaintJournal(t *testing.T) {
 func TestAnalyzerRegistry(t *testing.T) {
 	want := []string{
 		"detrange", "floateq", "errdrop",
-		"lockorder", "ctxleak", "wgbalance", "goroleak", "traceschema",
+		"lockorder", "wgbalance", "goroleak", "traceschema",
 		"hotalloc", "recvcopy", "purity",
 		"nilness", "lockset", "crowdtaint",
 	}
@@ -101,7 +100,7 @@ func TestSortFindings(t *testing.T) {
 // with a physical location.
 func TestToSARIF(t *testing.T) {
 	findings := []lint.Finding{
-		{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "ctxleak", Message: "leak"},
+		{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "goroleak", Message: "leak"},
 		{File: "internal/core/skyline.go", Line: 40, Col: 9, Analyzer: "floateq", Message: "eq"},
 	}
 	raw, err := lint.ToSARIF(findings, lint.All())
@@ -135,7 +134,7 @@ func TestToSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want %d", len(results), len(findings))
 	}
 	first := results[0].(map[string]any)
-	if first["ruleId"] != "ctxleak" {
+	if first["ruleId"] != "goroleak" {
 		t.Errorf("ruleId = %v", first["ruleId"])
 	}
 	locs := first["locations"].([]any)
@@ -156,7 +155,7 @@ func TestToSARIF(t *testing.T) {
 // rules array — which is All() order, so indexes cannot drift between
 // runs or flag combinations.
 func TestToSARIFDedupAndRuleIndex(t *testing.T) {
-	dup := lint.Finding{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "ctxleak", Message: "leak"}
+	dup := lint.Finding{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "goroleak", Message: "leak"}
 	findings := []lint.Finding{
 		dup,
 		dup, // same package loaded under a second root
@@ -195,52 +194,5 @@ func TestToSARIFDedupAndRuleIndex(t *testing.T) {
 		if got := run.Tool.Driver.Rules[res.RuleIndex].ID; got != res.RuleID {
 			t.Errorf("ruleIndex %d resolves to rule %q, want %q", res.RuleIndex, got, res.RuleID)
 		}
-	}
-}
-
-// TestBaseline covers the load/apply cycle: matched entries are filtered,
-// unmatched findings are kept, and entries matching nothing are stale.
-func TestBaseline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	entries := []lint.BaselineEntry{
-		{File: "a.go", Analyzer: "ctxleak", Message: "old leak", Reason: "pre-existing, tracked in ROADMAP"},
-		{File: "gone.go", Analyzer: "floateq", Message: "fixed long ago", Reason: "obsolete"},
-	}
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := lint.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := []lint.Finding{
-		{File: "a.go", Line: 3, Col: 1, Analyzer: "ctxleak", Message: "old leak"},
-		{File: "b.go", Line: 9, Col: 2, Analyzer: "ctxleak", Message: "new leak"},
-	}
-	kept, stale := lint.ApplyBaseline(findings, loaded)
-	if len(kept) != 1 || kept[0].Message != "new leak" {
-		t.Errorf("kept = %+v, want only the new leak", kept)
-	}
-	if len(stale) != 1 || stale[0].File != "gone.go" {
-		t.Errorf("stale = %+v, want the gone.go entry", stale)
-	}
-}
-
-// TestBaselineRequiresReason rejects entries without a justification: a
-// baseline is a debt register, and debt without a reason is just debt.
-func TestBaselineRequiresReason(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	blob := `[{"file":"a.go","analyzer":"ctxleak","message":"m","reason":""}]`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lint.LoadBaseline(path); err == nil {
-		t.Error("baseline entry without a reason must not load")
 	}
 }

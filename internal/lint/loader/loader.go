@@ -1,9 +1,11 @@
 // Package loader loads and type-checks Go packages for the skylint
-// analyzers without golang.org/x/tools: package enumeration shells out to
-// "go list -json" (the toolchain is the one dependency the repository
-// already requires) and type checking uses the standard library's source
-// importer, which resolves both standard-library and module-local imports
-// from source, fully offline.
+// analyzers without golang.org/x/tools. One `go list -deps -export -json`
+// enumerates the packages and their dependencies, dependencies first (the
+// toolchain is the one dependency the repository already requires).
+// Every non-standard package is then type-checked once from source, in
+// that order, and served to its importers from the already-checked set;
+// the standard library is read from the compiler export data that
+// `go list -export` names. Everything runs offline.
 package loader
 
 import (
@@ -15,6 +17,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -30,228 +34,102 @@ type Package struct {
 	Files   []*ast.File
 	Pkg     *types.Package
 	Info    *types.Info
-	// TypeErrors holds the type-checker's complaints when the package
-	// was loaded with Options.AllowErrors; empty for a clean package.
-	TypeErrors []string
-}
-
-// Options selects what Load feeds the type checker.
-type Options struct {
-	// Tests includes each package's in-package _test.go files
-	// (TestGoFiles), so the flow-sensitive concurrency analyzers can audit
-	// test goroutines and context use too. External test packages
-	// (XTestGoFiles, package foo_test) are not loaded: they form a second
-	// package over the same directory, which the shared-FileSet pipeline
-	// does not model.
-	Tests bool
-
-	// AllowErrors returns a partial Package for sources that fail to
-	// type-check instead of failing the whole load: the syntax trees,
-	// the shared FileSet and whatever type information the checker
-	// recovered are kept, and the errors land in Package.TypeErrors.
-	// The analyzer driver stays strict (a broken tree should fail CI
-	// loudly, not silently under-report); tooling that inspects
-	// work-in-progress code opts in.
-	AllowErrors bool
 }
 
 // listEntry is the subset of `go list -json` output the loader consumes.
 type listEntry struct {
-	ImportPath  string
-	Name        string
-	Dir         string
-	GoFiles     []string
-	CgoFiles    []string
-	TestGoFiles []string
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	CgoFiles   []string
+	ImportMap  map[string]string // source import path -> ImportPath, for vendored imports
+	Export     string            // compiler export data; read for standard packages only
+	Standard   bool
+	DepOnly    bool // listed only as a dependency of a matched package
 }
 
 // Load enumerates the packages matching patterns (e.g. "./...") relative
-// to dir, parses their sources and type-checks them. All packages share
-// one FileSet and one source importer, so the standard library is
-// type-checked once per process, not once per package.
-func Load(dir string, patterns []string, opts Options) ([]*Package, error) {
+// to dir, with their dependencies, and type-checks them. It returns the
+// matched packages in dependency order. All packages share one FileSet.
+func Load(dir string, patterns []string) ([]*Package, error) {
 	entries, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := newVendorAwareImporter(fset)
-	var out []*Package
-	for _, e := range entries {
-		pkg, err := loadOne(fset, imp, e, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
+	return check(entries)
 }
 
-// vendorAwareImporter works around a long-standing gap in the standard
-// source importer: go/build resolves module imports by shelling out to
-// the go command with vendoring disabled, so packages that only exist
-// under a module's vendor/ tree fail to import even though `go build`
-// compiles them fine. The wrapper tries the source importer first (the
-// fast path for the standard library and module-cache packages) and, on
-// failure, asks `go list` — which does honor vendor/ — where the package
-// lives, then type-checks those sources itself.
-type vendorAwareImporter struct {
-	fset  *token.FileSet
-	base  types.ImporterFrom
-	cache map[string]*types.Package
-}
-
-func newVendorAwareImporter(fset *token.FileSet) *vendorAwareImporter {
-	return &vendorAwareImporter{
-		fset:  fset,
-		base:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		cache: make(map[string]*types.Package),
-	}
-}
-
-func (v *vendorAwareImporter) Import(path string) (*types.Package, error) {
-	return v.ImportFrom(path, "", 0)
-}
-
-func (v *vendorAwareImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	pkg, err := v.base.ImportFrom(path, srcDir, mode)
-	if err == nil {
-		return pkg, nil
-	}
-	if cached, ok := v.cache[path]; ok {
-		return cached, nil
-	}
-	entries, listErr := goList(srcDir, []string{path})
-	if listErr != nil || len(entries) != 1 || len(entries[0].GoFiles) == 0 {
-		return nil, err // the source importer's error names the real problem
-	}
-	e := entries[0]
-	files := make([]string, len(e.GoFiles))
-	for i, f := range e.GoFiles {
-		files[i] = filepath.Join(e.Dir, f)
-	}
-	// Recursive imports of the vendored package come back through v, so
-	// vendored dependencies of vendored dependencies resolve too.
-	loaded, cErr := typecheck(v.fset, v, path, e.Dir, files)
-	if cErr != nil {
-		return nil, cErr
-	}
-	v.cache[path] = loaded.Pkg
-	return loaded.Pkg, nil
-}
-
-// LoadDir parses every .go file directly inside dir as one package and
-// type-checks it with a fresh source importer. Used by the analysistest
-// fixture runner, where fixtures are plain directories outside the module
-// package graph. pkgPath becomes the package's reported import path.
-func LoadDir(dir, pkgPath string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("loader: no .go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return typecheck(fset, imp, pkgPath, "", matches)
-}
-
-// LoadDirs loads the named subdirectories of root as one multi-package
-// fixture: every .go file directly inside each subdirectory forms a
-// package whose import path is the subdirectory name, and the packages
-// may import each other by that name ("kernel" imports nothing, "hot"
-// imports "kernel"). All packages share one FileSet, so cross-package
-// positions stay comparable — the property the interprocedural
-// analyzers' tests rely on.
-//
-// Packages are type-checked in local-dependency order (discovered from
-// the import clauses), through an importer that serves already-checked
-// fixture packages first and falls back to the source importer for the
-// standard library.
-func LoadDirs(root string, dirs []string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	chain := &chainImporter{
-		local:    make(map[string]*types.Package, len(dirs)),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
-	names := make(map[string]bool, len(dirs))
-	for _, d := range dirs {
-		names[d] = true
-	}
-	// Discover local imports with an imports-only parse, then order the
-	// packages so dependencies are checked before their importers.
+// LoadFixture loads the named subdirectories of root as a fixture: every
+// .go file directly inside each subdirectory forms a package whose import
+// path is the subdirectory name, and the packages may import each other
+// by that name ("hot" imports "kernel"). Fixtures live outside the module
+// package graph, so their standard-library imports are listed separately
+// and the fixture packages are ordered after their local dependencies.
+// All packages share one FileSet, so cross-package positions stay
+// comparable — the property the interprocedural analyzers' tests rely on.
+func LoadFixture(root string, dirs []string) ([]*Package, error) {
+	local := make(map[string]*listEntry, len(dirs))
 	deps := make(map[string][]string, len(dirs))
-	files := make(map[string][]string, len(dirs))
+	scan := token.NewFileSet() // imports-only parse, discarded
 	for _, d := range dirs {
-		matches, err := filepath.Glob(filepath.Join(root, d, "*.go"))
+		e := &listEntry{ImportPath: d, Dir: filepath.Join(root, d)}
+		matches, err := filepath.Glob(filepath.Join(e.Dir, "*.go"))
 		if err != nil {
 			return nil, err
 		}
 		if len(matches) == 0 {
-			return nil, fmt.Errorf("loader: no .go files in %s", filepath.Join(root, d))
+			return nil, fmt.Errorf("loader: no .go files in %s", e.Dir)
 		}
-		files[d] = matches
 		for _, f := range matches {
-			parsed, err := parser.ParseFile(fset, f, nil, parser.ImportsOnly)
+			e.GoFiles = append(e.GoFiles, filepath.Base(f))
+			parsed, err := parser.ParseFile(scan, f, nil, parser.ImportsOnly)
 			if err != nil {
 				return nil, fmt.Errorf("loader: %v", err)
 			}
 			for _, imp := range parsed.Imports {
-				path, err := strconv.Unquote(imp.Path.Value)
-				if err == nil && names[path] {
+				if path, err := strconv.Unquote(imp.Path.Value); err == nil {
 					deps[d] = append(deps[d], path)
 				}
 			}
 		}
+		local[d] = e
 	}
-	order, err := topoSort(dirs, deps)
-	if err != nil {
-		return nil, err
+	var entries []listEntry
+	var external []string
+	seen := make(map[string]bool)
+	for _, d := range dirs {
+		for _, path := range deps[d] {
+			if local[path] == nil && !seen[path] {
+				seen[path] = true
+				external = append(external, path)
+			}
+		}
 	}
-	var out []*Package
-	for _, d := range order {
-		pkg, err := typecheck(fset, chain, d, filepath.Join(root, d), files[d])
+	if len(external) > 0 {
+		listed, err := goList(root, external)
 		if err != nil {
 			return nil, err
 		}
-		chain.local[d] = pkg.Pkg
-		out = append(out, pkg)
+		for _, e := range listed {
+			e.DepOnly = true
+			entries = append(entries, e)
+		}
 	}
-	return out, nil
-}
-
-// chainImporter resolves fixture packages by name before delegating to
-// the source importer.
-type chainImporter struct {
-	local    map[string]*types.Package
-	fallback types.Importer
-}
-
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := c.local[path]; ok {
-		return pkg, nil
-	}
-	return c.fallback.Import(path)
-}
-
-// topoSort orders dirs so every package follows its local dependencies;
-// ties keep the caller's order. Cycles are an error: fixture packages
-// must form a DAG like real Go packages.
-func topoSort(dirs []string, deps map[string][]string) ([]string, error) {
+	// Order the fixture packages so each follows its local dependencies,
+	// as `go list -deps` orders real ones; ties keep the caller's order.
 	const (
 		unvisited = iota
 		visiting
 		done
 	)
 	state := make(map[string]int, len(dirs))
-	var order []string
 	var visit func(string) error
 	visit = func(d string) error {
-		switch state[d] {
-		case done:
+		e := local[d]
+		if e == nil || state[d] == done {
 			return nil
-		case visiting:
+		}
+		if state[d] == visiting {
 			return fmt.Errorf("loader: fixture import cycle through %q", d)
 		}
 		state[d] = visiting
@@ -261,7 +139,7 @@ func topoSort(dirs []string, deps map[string][]string) ([]string, error) {
 			}
 		}
 		state[d] = done
-		order = append(order, d)
+		entries = append(entries, *e)
 		return nil
 	}
 	for _, d := range dirs {
@@ -269,11 +147,63 @@ func topoSort(dirs []string, deps map[string][]string) ([]string, error) {
 			return nil, err
 		}
 	}
-	return order, nil
+	return check(entries)
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// check type-checks entries, which must list every package after its
+// dependencies, and returns the non-standard ones that were not listed
+// only as dependencies. Each non-standard package is checked once from
+// source and its *types.Package is the one every importer sees; standard
+// packages are read from their export data on first import.
+func check(entries []listEntry) ([]*Package, error) {
+	fset := token.NewFileSet()
+	exports := make(map[string]string)
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("loader: no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	checked := make(map[string]*types.Package)
+	var out []*Package
+	for _, e := range entries {
+		if e.Standard {
+			exports[e.ImportPath] = e.Export
+			continue
+		}
+		if len(e.CgoFiles) > 0 {
+			return nil, fmt.Errorf("loader: package %s uses cgo, which skylint does not support", e.ImportPath)
+		}
+		imp := importerFunc(func(path string) (*types.Package, error) {
+			if mapped, ok := e.ImportMap[path]; ok {
+				path = mapped
+			}
+			if pkg := checked[path]; pkg != nil {
+				return pkg, nil
+			}
+			return std.Import(path)
+		})
+		pkg, err := typecheck(fset, imp, e)
+		if err != nil {
+			return nil, err
+		}
+		checked[e.ImportPath] = pkg.Pkg
+		if !e.DepOnly {
+			out = append(out, pkg)
+		}
+	}
+	return out, nil
 }
 
 func goList(dir string, patterns []string) ([]listEntry, error) {
-	args := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,CgoFiles,TestGoFiles"}, patterns...)
+	args := append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,CgoFiles,ImportMap,Export,Standard,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -294,29 +224,10 @@ func goList(dir string, patterns []string) ([]listEntry, error) {
 	return entries, nil
 }
 
-func loadOne(fset *token.FileSet, imp types.Importer, e listEntry, opts Options) (*Package, error) {
-	if len(e.CgoFiles) > 0 {
-		return nil, fmt.Errorf("loader: package %s uses cgo, which skylint does not support", e.ImportPath)
-	}
-	names := e.GoFiles
-	if opts.Tests {
-		names = append(append([]string(nil), e.GoFiles...), e.TestGoFiles...)
-	}
-	files := make([]string, len(names))
-	for i, f := range names {
-		files[i] = filepath.Join(e.Dir, f)
-	}
-	return typecheckOpt(fset, imp, e.ImportPath, e.Dir, files, opts.AllowErrors)
-}
-
-func typecheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string) (*Package, error) {
-	return typecheckOpt(fset, imp, pkgPath, dir, files, false)
-}
-
-func typecheckOpt(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string, allowErrors bool) (*Package, error) {
+func typecheck(fset *token.FileSet, imp types.Importer, e listEntry) (*Package, error) {
 	var asts []*ast.File
-	for _, f := range files {
-		parsed, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
+	for _, f := range e.GoFiles {
+		parsed, err := parser.ParseFile(fset, filepath.Join(e.Dir, f), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("loader: %v", err)
 		}
@@ -335,18 +246,12 @@ func typecheckOpt(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 			typeErrs = append(typeErrs, err.Error())
 		},
 	}
-	tpkg, err := conf.Check(pkgPath, fset, asts, info)
-	if len(typeErrs) > 0 || err != nil {
-		if !allowErrors || tpkg == nil {
-			if len(typeErrs) > 0 {
-				return nil, fmt.Errorf("loader: type errors in %s:\n  %s", pkgPath, strings.Join(typeErrs, "\n  "))
-			}
-			return nil, fmt.Errorf("loader: type-checking %s: %v", pkgPath, err)
-		}
-		if len(typeErrs) == 0 {
-			typeErrs = append(typeErrs, err.Error())
-		}
+	tpkg, err := conf.Check(e.ImportPath, fset, asts, info)
+	if len(typeErrs) > 0 {
+		return nil, fmt.Errorf("loader: type errors in %s:\n  %s", e.ImportPath, strings.Join(typeErrs, "\n  "))
 	}
-	name := tpkg.Name()
-	return &Package{PkgPath: pkgPath, Name: name, Dir: dir, Fset: fset, Files: asts, Pkg: tpkg, Info: info, TypeErrors: typeErrs}, nil
+	if err != nil {
+		return nil, fmt.Errorf("loader: type-checking %s: %v", e.ImportPath, err)
+	}
+	return &Package{PkgPath: e.ImportPath, Name: tpkg.Name(), Dir: e.Dir, Fset: fset, Files: asts, Pkg: tpkg, Info: info}, nil
 }

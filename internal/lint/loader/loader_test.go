@@ -3,7 +3,6 @@ package loader
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -33,7 +32,7 @@ func TestLoadBuildTags(t *testing.T) {
 		"a.go":   "package tagmod\n\nfunc Kept() int { return 1 }\n",
 		"b.go":   "//go:build never_enabled\n\npackage tagmod\n\nfunc Dropped() int { return undefinedOnPurpose }\n",
 	})
-	pkgs, err := Load(dir, []string{"."}, Options{})
+	pkgs, err := Load(dir, []string{"."})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -52,41 +51,6 @@ func TestLoadBuildTags(t *testing.T) {
 	}
 }
 
-// TestLoadAllowErrors covers the partial-result path: a package that
-// fails to type-check is fatal by default, but with AllowErrors the
-// loader keeps the syntax trees and whatever the checker recovered, and
-// surfaces the complaints in Package.TypeErrors.
-func TestLoadAllowErrors(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module brokenmod\n\ngo 1.21\n",
-		"a.go":   "package brokenmod\n\nfunc Fine() int { return 1 }\n\nfunc Broken() int { return notDefined }\n",
-	})
-	if _, err := Load(dir, []string{"."}, Options{}); err == nil {
-		t.Fatal("strict Load of a package with type errors succeeded, want error")
-	} else if !strings.Contains(err.Error(), "notDefined") {
-		t.Fatalf("strict Load error does not mention the bad identifier: %v", err)
-	}
-
-	pkgs, err := Load(dir, []string{"."}, Options{AllowErrors: true})
-	if err != nil {
-		t.Fatalf("Load with AllowErrors: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
-	if len(pkg.TypeErrors) == 0 {
-		t.Fatal("partial package has no TypeErrors recorded")
-	}
-	if len(pkg.Files) != 1 {
-		t.Fatalf("partial package has %d files, want 1", len(pkg.Files))
-	}
-	// The checker recovers everything not touched by the error.
-	if pkg.Pkg == nil || pkg.Pkg.Scope().Lookup("Fine") == nil {
-		t.Error("recovered scope is missing the healthy declaration Fine")
-	}
-}
-
 // TestLoadVendoredImport checks resolution through a vendor directory:
 // with vendor/ present the go toolchain resolves the dependency there
 // automatically, and the source importer must type-check the vendored
@@ -100,7 +64,7 @@ func TestLoadVendoredImport(t *testing.T) {
 			"## explicit; go 1.21\nexample.com/dep\n",
 		"vendor/example.com/dep/dep.go": "package dep\n\nfunc Answer() int { return 42 }\n",
 	})
-	pkgs, err := Load(dir, []string{"."}, Options{})
+	pkgs, err := Load(dir, []string{"."})
 	if err != nil {
 		t.Fatalf("Load with vendored dependency: %v", err)
 	}
@@ -124,5 +88,33 @@ func TestLoadVendoredImport(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("example.com/dep not among imports %v", depPkg)
+	}
+}
+
+// TestLoadSharesCheckedPackages checks that each package is type-checked
+// once: when one matched package imports another, the importer sees the
+// very *types.Package the loader returned for the imported one, so type
+// identity holds across packages.
+func TestLoadSharesCheckedPackages(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module sharemod\n\ngo 1.21\n",
+		"a/a.go": "package a\n\ntype T struct{}\n",
+		"b/b.go": "package b\n\nimport \"sharemod/a\"\n\nvar V a.T\n",
+	})
+	pkgs, err := Load(dir, []string{"./..."})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	byPath := make(map[string]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.PkgPath] = p
+	}
+	a, b := byPath["sharemod/a"], byPath["sharemod/b"]
+	if a == nil || b == nil {
+		t.Fatalf("loaded %v, want sharemod/a and sharemod/b", byPath)
+	}
+	imports := b.Pkg.Imports()
+	if len(imports) != 1 || imports[0] != a.Pkg {
+		t.Fatalf("b imports %v, want the loaded *types.Package of sharemod/a (%p)", imports, a.Pkg)
 	}
 }

@@ -11,11 +11,11 @@ import (
 
 // Finding is one diagnostic with its resolved source position.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // Position renders the finding's location as file:line:col.
@@ -93,30 +93,12 @@ func finish(analyzers []*analysis.Analyzer, prog *analysis.Program) error {
 	return nil
 }
 
-// RunPackage runs the given analyzers (both phases) over one loaded
-// package and returns the surviving findings in deterministic order.
-// Cross-package analyzers see a single-package program.
-func RunPackage(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	var findings []Finding
-	prog := analysis.NewProgram()
-	for _, a := range analyzers {
-		if err := runOne(pkg, a, prog, &findings); err != nil {
-			return nil, err
-		}
-	}
-	if err := finish(analyzers, prog); err != nil {
-		return nil, err
-	}
-	SortFindings(findings)
-	return findings, nil
-}
-
 // Run loads the packages matching patterns under dir and runs every
 // analyzer over each (Run per package, then one Finish per analyzer over
 // the whole program), returning all findings sorted by (file, line, col,
 // analyzer). File names are reported relative to dir where possible.
-func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, opts loader.Options) ([]Finding, error) {
-	pkgs, err := loader.Load(dir, patterns, opts)
+func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
+	pkgs, err := loader.Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +118,9 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, opts loa
 	if err == nil {
 		for i := range all {
 			if rel, rerr := filepath.Rel(absDir, all[i].File); rerr == nil && !filepath.IsAbs(rel) && rel[0] != '.' {
-				// Forward slashes regardless of platform, so baselines
-				// and SARIF logs recorded under one checkout match any
-				// other (different absolute root, different OS).
+				// Forward slashes regardless of platform, so SARIF logs
+				// recorded under one checkout match any other (different
+				// absolute root, different OS).
 				all[i].File = filepath.ToSlash(rel)
 			}
 		}

@@ -7,9 +7,8 @@ import (
 	"crowdsky/internal/lint/analysis"
 )
 
-// This file renders findings in machine-readable forms: plain JSON for
-// scripting and SARIF 2.1.0 for code-scanning UIs (GitHub uploads, IDE
-// plugins). The SARIF writer emits only the properties skylint has real
+// This file renders findings as SARIF 2.1.0 for code-scanning UIs
+// (GitHub uploads, IDE plugins). The SARIF writer emits only the properties skylint has real
 // values for — a minimal, schema-valid subset of the format.
 
 // SARIF 2.1.0 document structure (the subset skylint emits).
@@ -127,13 +126,4 @@ func ToSARIF(findings []Finding, analyzers []*analysis.Analyzer) ([]byte, error)
 		}},
 	}
 	return json.MarshalIndent(doc, "", "  ")
-}
-
-// ToJSON renders findings as a plain JSON array of
-// {file, line, col, analyzer, message} objects.
-func ToJSON(findings []Finding) ([]byte, error) {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	return json.MarshalIndent(findings, "", "  ")
 }

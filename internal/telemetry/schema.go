@@ -134,7 +134,7 @@ var metricSchemas = map[string][]string{
 	"crowdserve_client_retries_total": {"cause"},
 	// Fault injection (faultinject.Plan.InstrumentMetrics).
 	"crowdserve_faults_injected_total": {"kind"},
-	// Journal recovery (cmd/bench -chaos, cmd/crowdsky -resume).
+	// Journal recovery (the cmd/bench chaos session, cmd/crowdsky -resume).
 	"journal_recovered_records_total": {},
 }
 
